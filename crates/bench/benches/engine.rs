@@ -8,7 +8,10 @@
 //! (broadcast-only, directed-only, mixed), three graph families
 //! (cycle, random 4-regular, torus), sizes n ∈ {2^10, 2^14, 2^17}, and
 //! both schedules. The reported mean is the wall-clock of
-//! `ROUNDS_PER_ITER` engine rounds; divide for rounds/sec.
+//! `ROUNDS_PER_ITER` engine rounds; divide for rounds/sec. A second
+//! group, the threshold sweep, prints wall and CPU time per round of
+//! both schedules at n ∈ {2^12, …, 2^21}: the measurement
+//! that sets `local_model::PARALLEL_THRESHOLD`.
 //!
 //! The closures are intentionally cheap (`u64` payloads, a couple of
 //! ALU ops) so that regressions in the mailbox path — per-round
@@ -19,6 +22,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use delta_graphs::{generators, Graph};
 use local_model::{run_ball_phase, Engine, ExecMode, Outbox, RoundLedger};
 use std::hint::black_box;
+use std::time::Instant;
 
 /// Rounds executed per measured iteration.
 const ROUNDS_PER_ITER: u64 = 4;
@@ -151,35 +155,85 @@ fn bench_engine_rounds(c: &mut Criterion) {
     group.finish();
 }
 
-/// The routing pass in isolation: directed-heavy traffic (one `u64`
-/// per arc per round, so resolution and arena fill dominate over the
-/// node closures) on a random 4-regular graph, sequential vs parallel
-/// schedule, across sizes straddling [`local_model::PARALLEL_THRESHOLD`]
-/// (4096): below it the parallel schedule falls back to the sequential
-/// routing pass, above it the chunk-split path engages. Under the
-/// vendored single-thread rayon stand-in both schedules perform the
-/// same routing work, so the seq/par pair tracks the split's
-/// bookkeeping overhead (it must stay in the noise); with real rayon
-/// the par series shows the fan-out win.
-fn bench_routing(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine-rounds");
-    group.sample_size(12);
-    for &n in &[1usize << 10, 1 << 12, 1 << 14, 1 << 17] {
-        let g = graph_for("rr4", n);
-        for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-            let id = BenchmarkId::new(format!("routing/{}", mode_label(mode)), g.n());
-            group.bench_with_input(id, &n, |b, _| {
-                let mut ledger = RoundLedger::new();
-                let mut engine = Engine::new(&g, 42, |v| v.0 as u64).with_mode(mode);
-                run_rounds(&mut engine, &g, &mut ledger, Workload::Directed);
-                b.iter(|| {
-                    run_rounds(&mut engine, &g, &mut ledger, Workload::Directed);
-                    black_box(engine.states()[0])
-                });
-            });
+/// CPU seconds this process has used so far, over all its threads
+/// (`clock_gettime(CLOCK_PROCESS_CPUTIME_ID)`), so worker threads count.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+fn process_cpu_s() -> f64 {
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: i64,
+        tv_nsec: i64,
+    }
+    extern "C" {
+        fn clock_gettime(clock: i32, tp: *mut Timespec) -> i32;
+    }
+    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `ts` is a valid, writable `struct timespec` (two 64-bit
+    // fields on 64-bit Linux), which is all `clock_gettime` writes.
+    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime(CLOCK_PROCESS_CPUTIME_ID) failed");
+    ts.tv_sec as f64 + ts.tv_nsec as f64 * 1e-9
+}
+
+/// No process CPU clock off 64-bit Linux: the sweep prints NaN for it.
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+fn process_cpu_s() -> f64 {
+    f64::NAN
+}
+
+/// The seq/par sweep that sets [`local_model::PARALLEL_THRESHOLD`]:
+/// mixed traffic on a random 4-regular graph at n ∈ {2^12, 2^14, 2^17,
+/// 2^20, 2^21}, both schedules, with their samples interleaved
+/// (alternating which goes first) so host drift hits both alike. Each
+/// sample runs about 2^22 node-rounds; the sweep prints wall and
+/// process-CPU milliseconds per round as `median [q1, q3]` over the
+/// samples. The threshold is the smallest n whose parallel wall median
+/// beats the sequential one by more than the sequential spread
+/// (q3 − q1).
+fn bench_threshold_sweep(_c: &mut Criterion) {
+    const SAMPLES: usize = 11;
+    let quartiles = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        let at = |q: usize| v[(v.len() - 1) * q / 4];
+        format!("{:>9.3} [{:.3}, {:.3}]", at(2), at(1), at(3))
+    };
+    for shift in [12, 14, 17, 20, 21] {
+        let g = graph_for("rr4", 1 << shift);
+        let calls = ((1usize << 20) >> shift).max(1);
+        let rounds = (calls as u64 * ROUNDS_PER_ITER) as f64;
+        let modes = [ExecMode::Sequential, ExecMode::Parallel];
+        let mut engines = modes.map(|mode| Engine::new(&g, 42, |v| v.0 as u64).with_mode(mode));
+        let mut ledger = RoundLedger::new();
+        let mut wall = [Vec::new(), Vec::new()];
+        let mut cpu = [Vec::new(), Vec::new()];
+        for engine in &mut engines {
+            run_rounds(engine, &g, &mut ledger, Workload::Mixed);
+        }
+        for sample in 0..SAMPLES {
+            for k in 0..2 {
+                let m = (k + sample) % 2;
+                let (w0, c0) = (Instant::now(), process_cpu_s());
+                for _ in 0..calls {
+                    run_rounds(&mut engines[m], &g, &mut ledger, Workload::Mixed);
+                }
+                wall[m].push(w0.elapsed().as_secs_f64() * 1e3 / rounds);
+                cpu[m].push((process_cpu_s() - c0) * 1e3 / rounds);
+            }
+            black_box(engines[0].states()[0] ^ engines[1].states()[0]);
+        }
+        for (m, mode) in modes.into_iter().enumerate() {
+            println!(
+                "sweep rr4/mixed/{:<3} n=2^{shift:<2} wall ms/round {}  cpu ms/round {}",
+                mode_label(mode),
+                quartiles(std::mem::take(&mut wall[m])),
+                quartiles(std::mem::take(&mut cpu[m])),
+            );
         }
     }
-    group.finish();
 }
 
 /// Ball-collection throughput: the certificate-flood relay overhead of
@@ -219,7 +273,7 @@ fn bench_ball_collection(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_engine_rounds,
-    bench_routing,
+    bench_threshold_sweep,
     bench_ball_collection
 );
 criterion_main!(benches);

@@ -222,17 +222,18 @@ fn list_color_randomized_core<DR: RoundDriver<LcState>>(
                     return;
                 }
                 if s.proposal.is_none() {
-                    let avail: Vec<Color> = lists
-                        .of(ctx.id)
-                        .iter()
-                        .copied()
-                        .filter(|c| s.used.binary_search(c).is_err())
-                        .collect();
-                    if avail.is_empty() {
+                    // Two passes over the list instead of collecting the
+                    // available colors: the send phase then allocates
+                    // nothing per node.
+                    let (list, used) = (lists.of(ctx.id), &s.used);
+                    let avail = || list.iter().filter(|c| used.binary_search(c).is_err());
+                    let count = avail().count();
+                    if count == 0 {
                         s.stuck = true;
                         return;
                     }
-                    s.proposal = Some(avail[ctx.random_below(avail.len() as u64) as usize]);
+                    let pick = ctx.random_below(count as u64) as usize;
+                    s.proposal = avail().nth(pick).copied();
                 }
                 out.broadcast(LcMsg::Propose(s.proposal.expect("drawn above")));
             },

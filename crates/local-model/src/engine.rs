@@ -21,9 +21,7 @@
 //!
 //! * every node keeps a persistent [`Outbox`] whose directed buffer is
 //!   cleared (capacity retained) at the start of each send phase;
-//! * a **routing pass** (sequential below [`PARALLEL_THRESHOLD`],
-//!   chunk-parallel above — see *Parallel execution*) resolves every
-//!   directed message
+//! * a sequential **routing pass** resolves every directed message
 //!   `w → v` to its destination *arc* (the graph's directed
 //!   half-edges, [`Graph::arc_range`]) with a single `O(log Δ)`
 //!   [`Graph::neighbor_position`] lookup plus the `O(1)`
@@ -56,9 +54,9 @@
 //! The per-message-type scratch (`M` differs per [`Engine::step`] call)
 //! lives in a small type-keyed map inside the engine; warm-up grows the
 //! buffers once per message type, after which rounds are
-//! allocation-free for `Copy` payloads. (In [`ExecMode::Parallel`], the
-//! vendored rayon stand-in still allocates inside its fan-out adapters;
-//! the engine's own delivery path stays allocation-free either way.)
+//! allocation-free for `Copy` payloads — in both schedules, since the
+//! vendored rayon stand-in fans out over borrowed slice splits on a
+//! persistent pool.
 //!
 //! # Parallel execution
 //!
@@ -72,34 +70,12 @@
 //! reference-delivery equivalence proptest in
 //! `tests/delivery_equivalence.rs`.
 //!
-//! At or above [`PARALLEL_THRESHOLD`] nodes, the routing and fill
-//! passes fan out too, over **disjoint contiguous ranges**:
-//!
-//! * broadcast wire sizes (`encoded_bits`, the only per-sender routing
-//!   cost that grows with the payload) are computed per sender in
-//!   parallel;
-//! * directed resolution stages each sender-range chunk into private
-//!   buffers that are spliced back *in chunk order*, reproducing the
-//!   exact global send order of the sequential walk (senders
-//!   ascending, each sender's messages in send order);
-//! * the per-edge bandwidth sweep runs per recipient range — recipient
-//!   buckets are disjoint by construction (the counting pass groups by
-//!   recipient, and sender-side arc counts are taken during staging,
-//!   so the sweep writes no cross-recipient state) — and the partial
-//!   sums/maxima fold with integer `+`/`max`, which is
-//!   order-independent;
-//! * the arena fill builds each recipient range into a private buffer
-//!   with the range's own bucket cursor (bucket bounds are absolute in
-//!   `dir_start`), then concatenates in range order — byte-identical
-//!   to the sequential forward sweep.
-//!
-//! Every reduction is integer arithmetic over identically staged
-//! traffic, so inbox contents, [`MessageStats`], and the ledger stay
-//! bit-identical across modes *and* chunk counts — pinned by the
-//! above-threshold determinism test in this module and the equivalence
-//! suites. Below the threshold (including forced-parallel runs on
-//! small graphs), the sequential passes keep their zero-allocation
-//! warm path (`tests/alloc_audit.rs`).
+//! Only those two compute phases fan out. Routing and the arena fill
+//! always take the sequential pass: they are index arithmetic and
+//! memcpy-sized clones, cheaper to run once than to split and splice
+//! back together. So staged traffic, inbox contents, [`MessageStats`]
+//! and the ledger are the same bytes in every schedule, and the warm
+//! path allocates nothing in either (`tests/alloc_audit.rs`).
 //!
 //! # Accounting
 //!
@@ -242,13 +218,14 @@ pub enum ExecMode {
     /// Rayon worker threads for both phases of every round.
     Parallel,
     /// Parallel for graphs with at least [`PARALLEL_THRESHOLD`] nodes,
-    /// sequential below (thread fan-out costs more than it saves on
-    /// small graphs).
+    /// sequential below (where the fan-out saves no wall time).
     Auto,
 }
 
-/// Node count at which [`ExecMode::Auto`] switches to worker threads.
-pub const PARALLEL_THRESHOLD: usize = 4096;
+/// Node count at which [`ExecMode::Auto`] switches to worker threads:
+/// the smallest size at which the engine bench's threshold sweep saw the
+/// parallel round win on wall time by more than the sequential spread.
+pub const PARALLEL_THRESHOLD: usize = 1 << 20;
 
 /// Process-wide override of every engine's execution mode: 0 = none,
 /// 1 = force sequential, 2 = force parallel. Used by the determinism
@@ -469,31 +446,10 @@ struct Mailbox<M> {
     /// Per-sender broadcast size in bits this round (`n` entries,
     /// refilled — not cleared — every round during the routing pass).
     bcast_bits: Vec<u64>,
-    /// Per-sender count of arcs that carried at least one directed
-    /// message from that sender this round; used to know how many of a
-    /// broadcaster's edges carried *only* the broadcast. Reset to 0 via
-    /// `dir_senders` after each round, so it stays O(traffic) to clean.
-    dir_arc_count: Vec<u32>,
-    /// Senders with a nonzero `dir_arc_count`, for the O(traffic) reset.
-    dir_senders: Vec<u32>,
     /// Senders that queued a broadcast this round (presence cannot be
     /// read off `bcast_bits`: zero-size payloads like `()` are real
     /// broadcasts of 0 bits).
     bcast_senders: Vec<u32>,
-    /// Epoch-stamped per-destination-arc marks (`graph.num_arcs()`
-    /// entries): `arc_mark[a] == arc_epoch` iff destination arc `a`
-    /// already carried a directed message this round. Lets the staging
-    /// walk count each sender's distinct directed arcs up front, so
-    /// the recipient-side bandwidth sweep writes no cross-recipient
-    /// state — which is what makes that sweep safely chunk-parallel.
-    /// Allocated lazily on the first directed message: broadcast-only
-    /// programs never pay the `O(num_arcs)` footprint (on dense virtual
-    /// graphs like a near-complete `G^7` oracle it would dwarf the
-    /// traffic itself).
-    arc_mark: Vec<u32>,
-    /// Current epoch for `arc_mark`: bumped once per round, so stale
-    /// marks expire in O(1) (a full clear happens only on wrap-around).
-    arc_epoch: u32,
 }
 
 impl<M> Mailbox<M> {
@@ -507,11 +463,7 @@ impl<M> Mailbox<M> {
             dir_start: Vec::new(),
             dir_idx: Vec::new(),
             bcast_bits: Vec::new(),
-            dir_arc_count: Vec::new(),
-            dir_senders: Vec::new(),
             bcast_senders: Vec::new(),
-            arc_mark: Vec::new(),
-            arc_epoch: 0,
         }
     }
 
@@ -522,9 +474,6 @@ impl<M> Mailbox<M> {
             self.inbox_start.resize(graph.n() + 1, 0);
             self.dir_start.resize(graph.n() + 1, 0);
             self.bcast_bits.resize(graph.n(), 0);
-            self.dir_arc_count.resize(graph.n(), 0);
-            self.arc_mark.clear(); // re-sized lazily on first directed use
-            self.arc_epoch = 0;
         }
     }
 }
@@ -811,20 +760,9 @@ impl<'g, S: Send> Engine<'g, S> {
 
         // Routing: resolve and group this round's directed messages,
         // charging every message's wire size (one `encoded_bits` call
-        // per transmission). Sequential below `PARALLEL_THRESHOLD` —
-        // pure index arithmetic and memcpy-sized clones with zero
-        // allocations; chunk-parallel over disjoint sender/recipient
-        // ranges above it (see the module docs for why the transcript
-        // stays bit-identical).
-        let par_chunks = if parallel && graph.n() >= PARALLEL_THRESHOLD {
-            // At least two chunks, so the splice/fold paths stay
-            // exercised (and deterministic by construction) even on
-            // single-worker hosts.
-            rayon::current_num_threads().max(2)
-        } else {
-            0
-        };
-        let bw = route_messages(graph, mailbox, &mut self.stats, self.policy, par_chunks);
+        // per transmission) — pure index arithmetic and memcpy-sized
+        // clones with zero allocations, sequential in every schedule.
+        let bw = route_messages(graph, mailbox, &mut self.stats, self.policy);
         self.stats.bits_sent += bw.bits;
         self.stats.max_edge_bits = self.stats.max_edge_bits.max(bw.max_edge_bits);
         self.stats.congest_violations += bw.violations;
@@ -856,12 +794,7 @@ impl<'g, S: Send> Engine<'g, S> {
                 load += node_load;
                 block_end += 1;
             }
-            if par_chunks > 0 {
-                fill_block_par(graph, mailbox, block_start, block_end, par_chunks);
-                dir_cursor = mailbox.dir_start[block_end.saturating_sub(1)] as usize;
-            } else {
-                fill_block(graph, mailbox, block_start, block_end, &mut dir_cursor);
-            }
+            fill_block(graph, mailbox, block_start, block_end, &mut dir_cursor);
 
             if trace_start.is_some() {
                 for i in block_start..block_end {
@@ -1064,42 +997,44 @@ struct RoundBandwidth {
     invalid: Option<(NodeId, NodeId)>,
 }
 
-/// Splits `[lo, hi)` into at most `chunks` contiguous ranges.
-fn chunk_ranges(lo: usize, hi: usize, chunks: usize) -> Vec<(usize, usize)> {
-    let len = hi - lo;
-    let step = len.div_ceil(chunks.max(1)).max(1);
-    let mut out = Vec::with_capacity(chunks);
-    let mut a = lo;
-    while a < hi {
-        let b = (a + step).min(hi);
-        out.push((a, b));
-        a = b;
-    }
-    out
-}
-
-/// One sender-range chunk's staged output (see [`stage_parallel`]).
-struct StagePart<M> {
-    routed: Vec<(u32, M)>,
-    routed_to: Vec<u32>,
-    bcast_senders: Vec<u32>,
-    bcast_deliveries: u64,
-    directed_queued: u64,
-    delivered: u64,
-    invalid: Option<(NodeId, NodeId)>,
-}
-
-/// Sequential staging walk: per sender, charge the broadcast size,
-/// resolve directed messages to destination arcs (the
-/// `neighbor_position` lookup doubles as the non-neighbor validity
-/// check), and count each sender's distinct directed arcs via the
-/// epoch-stamped `arc_mark` table. All scratch is round-reused, so the
-/// warm path allocates nothing.
-fn stage_sequential<M: Clone + WireCodec>(
+/// Routing pass: resolves every directed message to its destination arc
+/// (one `neighbor_position` lookup per message — the validity check and
+/// the routing are the same lookup, followed by the `O(1)`
+/// [`Graph::reverse_arc`] hop), stages it with its payload in
+/// `mailbox.routed`, groups the staged messages by recipient with a
+/// linear stable counting pass over `dir_start` (no comparison sort
+/// anywhere), and accumulates the round's [`MessageStats`]. Broadcasts
+/// need no routing work here: the fill pass reads them straight off
+/// the sender's outbox.
+///
+/// # Bandwidth accounting
+///
+/// The directed edge `w → v` (identified by `v`'s arc toward `w`, the
+/// destination arc the fill pass already groups by) carries `w`'s
+/// broadcast (if any) plus every directed message `w → v`. Its load is
+/// computed without any per-arc load array: each recipient's bucket is
+/// already arc-sorted, so consecutive runs of equal destination arcs
+/// give the directed load per edge in one linear sweep, and the
+/// sender's broadcast size is added from the per-node `bcast_bits`
+/// table. Edges that carry *only* a broadcast are covered per sender
+/// at `bcast_bits` apiece: a sender's broadcast weighs at most as much
+/// as any of its edges, so it enters the maximum once, and an
+/// over-budget broadcast counts every edge of the sender as a violation
+/// minus the ones the sweep already counted. All scratch is
+/// round-reused and reset in O(traffic), so the warm path allocates
+/// nothing.
+fn route_messages<M: Clone + WireCodec>(
     graph: &Graph,
     mailbox: &mut Mailbox<M>,
     stats: &mut MessageStats,
-) -> Option<(NodeId, NodeId)> {
+    policy: BandwidthPolicy,
+) -> RoundBandwidth {
+    let n = graph.n();
+    mailbox.routed.clear();
+    mailbox.routed_to.clear();
+    mailbox.dir_start.fill(0);
+    // Staging: per sender, charge the broadcast size and resolve the
+    // directed messages to destination arcs.
     let mut invalid: Option<(NodeId, NodeId)> = None;
     let mut rev: Option<&[u32]> = None;
     for (i, out) in mailbox.outboxes.iter().enumerate() {
@@ -1115,27 +1050,15 @@ fn stage_sequential<M: Clone + WireCodec>(
         };
         stats.directed += out.directed.len() as u64;
         for (to, m) in &out.directed {
-            // A directed message only reaches an actual neighbor; in the
-            // LOCAL model addressing anyone else is a program bug.
             match graph.neighbor_position(v, *to) {
                 Some(p) => {
                     // Broadcast-only rounds never force the table.
                     let rev = *rev.get_or_insert_with(|| graph.reverse_arcs());
-                    let dest = rev[graph.arc_range(v).start + p] as usize;
-                    mailbox.routed.push((dest as u32, m.clone()));
+                    let dest = rev[graph.arc_range(v).start + p];
+                    mailbox.routed.push((dest, m.clone()));
                     mailbox.routed_to.push(to.0);
                     mailbox.dir_start[to.index() + 1] += 1;
                     stats.deliveries += 1;
-                    if mailbox.arc_mark.is_empty() {
-                        mailbox.arc_mark.resize(graph.num_arcs(), 0);
-                    }
-                    if mailbox.arc_mark[dest] != mailbox.arc_epoch {
-                        mailbox.arc_mark[dest] = mailbox.arc_epoch;
-                        if mailbox.dir_arc_count[i] == 0 {
-                            mailbox.dir_senders.push(i as u32);
-                        }
-                        mailbox.dir_arc_count[i] += 1;
-                    }
                 }
                 // A directed message only reaches an actual neighbor;
                 // it is discarded, and the first offender is reported
@@ -1144,153 +1067,6 @@ fn stage_sequential<M: Clone + WireCodec>(
             }
         }
     }
-    invalid
-}
-
-/// Chunk-parallel staging: senders split into contiguous ranges, each
-/// resolved into private buffers, then spliced back **in chunk order**
-/// — reproducing the sequential walk's global send order exactly
-/// (senders ascending, each sender's messages in send order), so every
-/// downstream pass sees identical staged traffic.
-fn stage_parallel<M: Clone + Send + Sync + WireCodec>(
-    graph: &Graph,
-    mailbox: &mut Mailbox<M>,
-    stats: &mut MessageStats,
-    chunks: usize,
-) -> Option<(NodeId, NodeId)> {
-    // Broadcast wire sizes: the only per-sender staging cost that grows
-    // with the payload, farmed out per sender.
-    {
-        let outboxes = &mailbox.outboxes;
-        mailbox
-            .bcast_bits
-            .par_iter_mut()
-            .zip(outboxes.par_iter())
-            .for_each(|(bits, out)| {
-                *bits = out.broadcast.as_ref().map_or(0, WireCodec::encoded_bits)
-            });
-    }
-    // Force the shared reverse-arc table once, outside the fan-out.
-    let rev = graph.reverse_arcs();
-    let outboxes = &mailbox.outboxes;
-    let parts: Vec<StagePart<M>> = chunk_ranges(0, graph.n(), chunks)
-        .into_par_iter()
-        .map(|(a, b)| {
-            let mut part = StagePart {
-                routed: Vec::new(),
-                routed_to: Vec::new(),
-                bcast_senders: Vec::new(),
-                bcast_deliveries: 0,
-                directed_queued: 0,
-                delivered: 0,
-                invalid: None,
-            };
-            for (i, out) in (a..b).zip(&outboxes[a..b]) {
-                let v = NodeId::from_index(i);
-                if out.broadcast.is_some() {
-                    part.bcast_senders.push(i as u32);
-                    part.bcast_deliveries += graph.degree(v) as u64;
-                }
-                part.directed_queued += out.directed.len() as u64;
-                for (to, m) in &out.directed {
-                    match graph.neighbor_position(v, *to) {
-                        Some(p) => {
-                            let dest = rev[graph.arc_range(v).start + p];
-                            part.routed.push((dest, m.clone()));
-                            part.routed_to.push(to.0);
-                            part.delivered += 1;
-                        }
-                        None => part.invalid = part.invalid.or(Some((v, *to))),
-                    }
-                }
-            }
-            part
-        })
-        .collect();
-    // Chunks are merged in chunk (= sender) order, so the first invalid
-    // message found here is the first in global send order — matching
-    // the sequential walk exactly.
-    let mut invalid: Option<(NodeId, NodeId)> = None;
-    for part in parts {
-        invalid = invalid.or(part.invalid);
-        stats.broadcasts += part.bcast_senders.len() as u64;
-        stats.directed += part.directed_queued;
-        stats.deliveries += part.bcast_deliveries + part.delivered;
-        mailbox.bcast_senders.extend_from_slice(&part.bcast_senders);
-        if !part.routed.is_empty() && mailbox.arc_mark.is_empty() {
-            mailbox.arc_mark.resize(graph.num_arcs(), 0);
-        }
-        for &(dest, _) in &part.routed {
-            let dest = dest as usize;
-            if mailbox.arc_mark[dest] != mailbox.arc_epoch {
-                mailbox.arc_mark[dest] = mailbox.arc_epoch;
-                let s = graph.arc_head(dest).index();
-                if mailbox.dir_arc_count[s] == 0 {
-                    mailbox.dir_senders.push(s as u32);
-                }
-                mailbox.dir_arc_count[s] += 1;
-            }
-        }
-        for &to in &part.routed_to {
-            mailbox.dir_start[to as usize + 1] += 1;
-        }
-        mailbox.routed.extend(part.routed);
-        mailbox.routed_to.extend_from_slice(&part.routed_to);
-    }
-    invalid
-}
-
-/// Routing pass: resolves every directed message to its destination arc
-/// (one `neighbor_position` lookup per message — the validity check and
-/// the routing are the same lookup, followed by the `O(1)`
-/// [`Graph::reverse_arc`] hop), stages it with its payload in
-/// `mailbox.routed`, groups the staged messages by recipient with a
-/// linear stable counting pass over `dir_start` (no comparison sort
-/// anywhere), and accumulates the round's [`MessageStats`]. Broadcasts
-/// need no routing work here: the fill pass reads them straight off
-/// the sender's outbox. With `par_chunks > 0` the staging walk and the
-/// bandwidth sweep fan out over contiguous sender/recipient ranges (see
-/// the module docs); the staged traffic and all accounting stay
-/// bit-identical to the sequential pass.
-///
-/// # Bandwidth accounting
-///
-/// The directed edge `w → v` (identified by `v`'s arc toward `w`, the
-/// destination arc the fill pass already groups by) carries `w`'s
-/// broadcast (if any) plus every directed message `w → v`. Its load is
-/// computed without any per-arc load array: each recipient's bucket is
-/// already arc-sorted, so consecutive runs of equal destination arcs
-/// give the directed load per edge in one linear sweep, and the
-/// sender's broadcast size is added from the per-node `bcast_bits`
-/// table. Edges that carry *only* a broadcast are covered per sender:
-/// `degree - (arcs with directed traffic)` edges at `bcast_bits`
-/// apiece (the per-sender arc counts come from the epoch-stamped
-/// `arc_mark` table filled during staging). All scratch is round-reused
-/// and reset in O(traffic), so the sequential path's zero-allocation
-/// warm path is preserved.
-fn route_messages<M: Clone + Send + Sync + WireCodec>(
-    graph: &Graph,
-    mailbox: &mut Mailbox<M>,
-    stats: &mut MessageStats,
-    policy: BandwidthPolicy,
-    par_chunks: usize,
-) -> RoundBandwidth {
-    let n = graph.n();
-    mailbox.routed.clear();
-    mailbox.routed_to.clear();
-    mailbox.dir_start.fill(0);
-    // New epoch: every `arc_mark` entry from prior rounds goes stale in
-    // O(1); a full clear is needed only when the counter wraps.
-    mailbox.arc_epoch = mailbox.arc_epoch.wrapping_add(1);
-    if mailbox.arc_epoch == 0 {
-        mailbox.arc_mark.fill(0);
-        mailbox.arc_epoch = 1;
-    }
-    let invalid = if par_chunks > 0 {
-        stage_parallel(graph, mailbox, stats, par_chunks)
-    } else {
-        stage_sequential(graph, mailbox, stats)
-    };
     // Bucket the staged messages by recipient: prefix-sum the counts,
     // then scatter indices with the per-recipient cursors (shifting
     // each cursor to its bucket's end). Senders were visited in
@@ -1309,80 +1085,57 @@ fn route_messages<M: Clone + Send + Sync + WireCodec>(
     }
 
     // Bandwidth: per-edge loads from the arc-sorted buckets (see the
-    // function docs). Deterministic integer arithmetic over identically
-    // staged traffic, so the numbers are bit-identical across execution
-    // modes and chunk counts.
+    // function docs).
     let budget = match policy {
         BandwidthPolicy::Local => u64::MAX,
         BandwidthPolicy::Congest { bits } => bits,
     };
     let mut bw = RoundBandwidth::default();
-    {
-        let dir_start = &mailbox.dir_start;
-        let dir_idx = &mailbox.dir_idx;
-        let routed = &mailbox.routed;
-        let bcast_bits = &mailbox.bcast_bits;
-        let sweep = |a: usize, b: usize| {
-            let mut part = RoundBandwidth::default();
-            for v in a..b {
-                let bucket = bucket_bounds(dir_start, v);
-                let mut i = bucket.start;
-                while i < bucket.end {
-                    let arc = routed[dir_idx[i] as usize].0;
-                    let mut dir_load = 0u64;
-                    while i < bucket.end {
-                        let (a, ref m) = routed[dir_idx[i] as usize];
-                        if a != arc {
-                            break;
-                        }
-                        dir_load += m.encoded_bits();
-                        i += 1;
-                    }
-                    let sender = graph.arc_head(arc as usize);
-                    let load = dir_load + bcast_bits[sender.index()];
-                    part.bits += dir_load;
-                    part.max_edge_bits = part.max_edge_bits.max(load);
-                    if load > budget {
-                        part.violations += 1;
-                    }
+    // Directed edges whose broadcast alone breaks the budget: the sweep
+    // counts each as a violation, so the broadcast pass must not.
+    let mut over_budget_directed = 0u64;
+    let routed = &mailbox.routed;
+    for v in 0..n {
+        let bucket = bucket_bounds(&mailbox.dir_start, v);
+        let mut i = bucket.start;
+        while i < bucket.end {
+            let arc = routed[mailbox.dir_idx[i] as usize].0;
+            let mut dir_load = 0u64;
+            while i < bucket.end {
+                let (a, ref m) = routed[mailbox.dir_idx[i] as usize];
+                if a != arc {
+                    break;
                 }
+                dir_load += m.encoded_bits();
+                i += 1;
             }
-            part
-        };
-        if par_chunks > 0 {
-            let parts: Vec<RoundBandwidth> = chunk_ranges(0, n, par_chunks)
-                .into_par_iter()
-                .map(|(a, b)| sweep(a, b))
-                .collect();
-            for p in parts {
-                bw.bits += p.bits;
-                bw.max_edge_bits = bw.max_edge_bits.max(p.max_edge_bits);
-                bw.violations += p.violations;
+            let bcast = mailbox.bcast_bits[graph.arc_head(arc as usize).index()];
+            let load = dir_load + bcast;
+            bw.bits += dir_load;
+            bw.max_edge_bits = bw.max_edge_bits.max(load);
+            if load > budget {
+                bw.violations += 1;
             }
-        } else {
-            bw = sweep(0, n);
+            over_budget_directed += u64::from(bcast > budget);
         }
     }
-    for i in 0..mailbox.bcast_senders.len() {
-        let v = mailbox.bcast_senders[i] as usize;
-        let deg = graph.degree(NodeId::from_index(v)) as u64;
-        let b = mailbox.bcast_bits[v];
+    // Every edge of a broadcaster carries its broadcast. The sweep
+    // weighed the edges that also carried directed traffic, at loads of
+    // at least the broadcast's, so the broadcast can raise the maximum
+    // only through the others, and an over-budget one adds a violation
+    // on each edge the sweep did not count.
+    for &v in &mailbox.bcast_senders {
+        let deg = graph.degree(NodeId::from_index(v as usize)) as u64;
+        let b = mailbox.bcast_bits[v as usize];
         bw.bits += b * deg;
-        // Edges from v that carried no directed message still carry the
-        // broadcast alone; edges with directed traffic were already
-        // accounted (broadcast included) in the bucket sweep above.
-        let uncovered = deg - mailbox.dir_arc_count[v] as u64;
-        if uncovered > 0 {
+        if deg > 0 {
             bw.max_edge_bits = bw.max_edge_bits.max(b);
-            if b > budget {
-                bw.violations += uncovered;
-            }
+        }
+        if b > budget {
+            bw.violations += deg;
         }
     }
-    for i in 0..mailbox.dir_senders.len() {
-        mailbox.dir_arc_count[mailbox.dir_senders[i] as usize] = 0;
-    }
-    mailbox.dir_senders.clear();
+    bw.violations -= over_budget_directed;
     mailbox.bcast_senders.clear();
     bw.invalid = invalid;
     bw
@@ -1430,70 +1183,6 @@ fn fill_block<M: Clone>(
         debug_assert_eq!(*dir_cursor, bucket_end, "recipient bucket fully drained");
     }
     mailbox.inbox_start[i1] = arena.len() as u32;
-}
-
-/// Chunk-parallel fill for the recipient block `[i0, i1)`: recipient
-/// ranges build private buffers with their own bucket cursor (bucket
-/// bounds are absolute in `dir_start`, so a range's cursor starts at
-/// its first recipient's bucket start — no shared monotone cursor
-/// needed), then the buffers are concatenated in range order. The
-/// resulting arena and offsets are byte-identical to [`fill_block`]'s
-/// sequential forward sweep.
-/// One recipient range's private fill result: its arena slice plus the
-/// per-recipient offsets into it.
-type FilledRange<M> = (Vec<(NodeId, M)>, Vec<u32>);
-
-fn fill_block_par<M: Clone + Send + Sync>(
-    graph: &Graph,
-    mailbox: &mut Mailbox<M>,
-    i0: usize,
-    i1: usize,
-    chunks: usize,
-) {
-    let ranges = chunk_ranges(i0, i1, chunks);
-    let parts: Vec<FilledRange<M>> = {
-        let outboxes = &mailbox.outboxes;
-        let routed = &mailbox.routed;
-        let dir_idx = &mailbox.dir_idx;
-        let dir_start = &mailbox.dir_start;
-        ranges
-            .par_iter()
-            .map(|&(a, b)| {
-                let mut buf: Vec<(NodeId, M)> = Vec::new();
-                let mut offsets: Vec<u32> = Vec::with_capacity(b - a);
-                let mut cursor = bucket_bounds(dir_start, a).start;
-                for (i, &bucket_end) in (a..b).zip(&dir_start[a..b]) {
-                    offsets.push(buf.len() as u32);
-                    let bucket_end = bucket_end as usize;
-                    for arc in graph.arc_range(NodeId::from_index(i)) {
-                        let w = graph.arc_head(arc);
-                        if let Some(m) = &outboxes[w.index()].broadcast {
-                            buf.push((w, m.clone()));
-                        }
-                        while cursor < bucket_end {
-                            let (dest, ref m) = routed[dir_idx[cursor] as usize];
-                            if dest as usize != arc {
-                                break;
-                            }
-                            buf.push((w, m.clone()));
-                            cursor += 1;
-                        }
-                    }
-                    debug_assert_eq!(cursor, bucket_end, "recipient bucket fully drained");
-                }
-                (buf, offsets)
-            })
-            .collect()
-    };
-    mailbox.arena.clear();
-    for (&(a, _), (buf, offsets)) in ranges.iter().zip(parts) {
-        let base = mailbox.arena.len() as u32;
-        for (j, off) in offsets.into_iter().enumerate() {
-            mailbox.inbox_start[a + j] = base + off;
-        }
-        mailbox.arena.extend(buf);
-    }
-    mailbox.inbox_start[i1] = mailbox.arena.len() as u32;
 }
 
 #[cfg(test)]
@@ -1743,12 +1432,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_routing_matches_sequential_above_threshold() {
-        // Above PARALLEL_THRESHOLD the routing and fill passes run
-        // chunk-parallel; states, stats, and ledger (congest accounting
-        // included) must stay bit-identical to the sequential
-        // schedule under mixed broadcast + directed traffic.
-        let n = PARALLEL_THRESHOLD + 904;
+    fn parallel_mixed_traffic_matches_sequential() {
+        // Under mixed broadcast + directed traffic, states, stats, and
+        // ledger (congest accounting included) must stay bit-identical
+        // to the sequential schedule. The size is fixed, independent
+        // of `PARALLEL_THRESHOLD`: forced-parallel rounds fan out at
+        // any size.
+        let n = 5000;
         let g = generators::random_regular(n, 6, 11);
         let g = &g;
         let run = |mode: ExecMode| {

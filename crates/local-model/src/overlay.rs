@@ -922,23 +922,20 @@ impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
             // same one-deep-clone-per-delivery a materialized engine
             // pays), so peak delivery memory is a single inbox. The
             // sequential schedule reuses one buffer; the parallel one
-            // builds per-rank buffers thread-locally — contents are
-            // identical either way.
+            // reuses one per worker chunk — contents are identical
+            // either way.
             let vdeg = &self.vdeg;
             let origins = &flood.origins;
             let payloads = &flood.payloads;
-            let fill = |r: usize, buf: &mut Vec<(NodeId, M)>| {
-                buf.clear();
-                buf.extend(origins[r].iter().map(|&o| {
-                    let m = payloads[o as usize]
-                        .as_ref()
-                        .expect("every heard origin has a broadcast");
-                    (NodeId(o), M::clone(m))
-                }));
-            };
             let run_one =
                 |r: usize, state: &mut S, rng: &mut StdRng, buf: &mut Vec<(NodeId, M)>| {
-                    fill(r, buf);
+                    buf.clear();
+                    buf.extend(origins[r].iter().map(|&o| {
+                        let m = payloads[o as usize]
+                            .as_ref()
+                            .expect("every heard origin has a broadcast");
+                        (NodeId(o), M::clone(m))
+                    }));
                     let mut ctx = NodeCtx {
                         id: NodeId::from_index(r),
                         degree: vdeg[r] as usize,
@@ -951,7 +948,9 @@ impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
                     .par_iter_mut()
                     .zip(self.rngs.par_iter_mut())
                     .enumerate()
-                    .for_each(|(r, (state, rng))| run_one(r, state, rng, &mut Vec::new()));
+                    .for_each_init(Vec::new, |buf, (r, (state, rng))| {
+                        run_one(r, state, rng, buf)
+                    });
             } else {
                 let mut buf: Vec<(NodeId, M)> = Vec::new();
                 self.states

@@ -50,8 +50,8 @@
 //! The sharded engine is **seed-bit-identical** to the single-arena
 //! engine — same states, same [`MessageStats`], same ledger bits, same
 //! fault transcripts under a [`crate::FaultyDriver`] — for any shard
-//! count and either [`ExecMode`]. The argument is the same chunk-order
-//! merge that makes the single engine's parallel routing exact: shards
+//! count and either [`ExecMode`]. The argument is a chunk-order merge
+//! that reproduces the single engine's sequential routing order: shards
 //! own *contiguous, ascending* node ranges, and each shard stages its
 //! senders in ascending order, so concatenating shard `t`'s inbound
 //! streams in source-shard order (`0, 1, …, S − 1`, with the intra
