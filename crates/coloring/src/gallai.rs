@@ -24,12 +24,14 @@ use local_model::{run_ball_phase, BitReader, BitWriter, RoundLedger, WireCodec, 
 
 /// Wire format of DCC detection. The collective driver
 /// ([`find_dccs_all`]) **executes through the engine**: every node
-/// floods adjacency certificates for `r` rounds via the ball-collection
-/// subsystem ([`local_model::BallMsg`] on the wire; this enum is the
-/// equivalent declared shape) and searches its assembled view locally,
-/// so rounds and per-edge bits are measured. Either way a relay can
-/// carry up to `Θ(Δ^r)` edges in one message, so `max_bits` is `None`:
-/// DCC detection is **LOCAL-only**. The single-node
+/// floods its adjacency certificate for `r` rounds through
+/// [`local_model::run_ball_phase`] — the reach flood with interned
+/// certificates as payloads, whose relays encode bit for bit as
+/// [`local_model::BallMsg`] — and searches its assembled view locally,
+/// so rounds and per-edge bits are measured. This enum is the
+/// edge-list shape the bandwidth registry classifies; it never travels.
+/// Either way a relay can carry up to `Θ(Δ^r)` edges in one message, so
+/// `max_bits` is `None`: DCC detection is **LOCAL-only**. The single-node
 /// [`find_dcc_for_node`] remains the central reference oracle for
 /// tests and ad-hoc probes.
 #[derive(Debug, Clone, PartialEq, Eq)]

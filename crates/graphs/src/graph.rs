@@ -189,6 +189,53 @@ impl Graph {
         GraphBuilder::new(n).build()
     }
 
+    /// Builds a graph on `n` nodes from an edge list that is already
+    /// sorted, duplicate-free and oriented `u < v` — the form
+    /// [`GraphBuilder::build`] reaches after its sort. One CSR fill and
+    /// no sorting: filling edges in that order appends each node's
+    /// smaller neighbors (ascending) before its larger ones (ascending),
+    /// so every adjacency list comes out sorted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is `>= n`; the edge order is
+    /// `debug_assert`ed.
+    pub fn from_sorted_edges(n: usize, edges: &[(u32, u32)]) -> Graph {
+        debug_assert!(
+            edges.iter().all(|&(u, v)| u < v) && edges.windows(2).all(|w| w[0] < w[1]),
+            "edges must be oriented u < v, sorted and duplicate-free"
+        );
+        let mut degree = vec![0u32; n];
+        for &(u, v) in edges {
+            degree[u as usize] += 1;
+            degree[v as usize] += 1;
+        }
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut acc = 0u32;
+        offsets.push(0);
+        for d in &degree {
+            acc += d;
+            offsets.push(acc);
+        }
+        let mut cursor: Vec<u32> = offsets[..n].to_vec();
+        let mut adj = vec![NodeId(0); acc as usize];
+        for &(u, v) in edges {
+            adj[cursor[u as usize] as usize] = NodeId(v);
+            cursor[u as usize] += 1;
+            adj[cursor[v as usize] as usize] = NodeId(u);
+            cursor[v as usize] += 1;
+        }
+        let max_degree = degree.iter().copied().max().unwrap_or(0);
+        let min_degree = degree.iter().copied().min().unwrap_or(0);
+        Graph {
+            offsets,
+            adj,
+            rev: std::sync::OnceLock::new(),
+            max_degree,
+            min_degree,
+        }
+    }
+
     /// Builds a graph directly from CSR arrays: `offsets` has `n + 1`
     /// entries and `adj[offsets[v]..offsets[v + 1]]` is `v`'s adjacency
     /// list, **sorted and symmetric** (every arc has its reverse). This
@@ -488,41 +535,7 @@ impl GraphBuilder {
     pub fn build(mut self) -> Graph {
         self.edges.sort_unstable();
         self.edges.dedup();
-        let mut degree = vec![0u32; self.n];
-        for &(u, v) in &self.edges {
-            degree[u as usize] += 1;
-            degree[v as usize] += 1;
-        }
-        let mut offsets = Vec::with_capacity(self.n + 1);
-        let mut acc = 0u32;
-        offsets.push(0);
-        for d in &degree {
-            acc += d;
-            offsets.push(acc);
-        }
-        let mut cursor: Vec<u32> = offsets[..self.n].to_vec();
-        let mut adj = vec![NodeId(0); acc as usize];
-        for &(u, v) in &self.edges {
-            adj[cursor[u as usize] as usize] = NodeId(v);
-            cursor[u as usize] += 1;
-            adj[cursor[v as usize] as usize] = NodeId(u);
-            cursor[v as usize] += 1;
-        }
-        // Edges were inserted in sorted (u, v) order, so each node's
-        // first-endpoint entries are sorted, but second-endpoint entries
-        // interleave; sort each adjacency list for binary-search lookups.
-        for i in 0..self.n {
-            adj[offsets[i] as usize..offsets[i + 1] as usize].sort_unstable();
-        }
-        let max_degree = degree.iter().copied().max().unwrap_or(0);
-        let min_degree = degree.iter().copied().min().unwrap_or(0);
-        Graph {
-            offsets,
-            adj,
-            rev: std::sync::OnceLock::new(),
-            max_degree,
-            min_degree,
-        }
+        Graph::from_sorted_edges(self.n, &self.edges)
     }
 }
 

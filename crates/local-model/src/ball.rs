@@ -11,25 +11,30 @@
 //! that used to be centrally simulated produce a real round ledger,
 //! measured per-edge bit loads, and determinism coverage.
 //!
-//! Three drivers, by how much of the neighborhood the local rule needs:
+//! Three drivers, by how much of the neighborhood the local rule needs;
+//! the first two are one flood, the **reach flood**:
 //!
-//! * [`run_ball_phase`] — the full compilation: every node assembles a
+//! * [`run_reach_phase`] — the membership flood: *source* nodes' ids
+//!   (plus a payload) travel `r` hops and each node folds every
+//!   distinct source it hears into a streaming accumulator. Nothing is
+//!   retained beyond the accumulator and the dedup window below — the
+//!   right primitive for ruling sets on power graphs, where the radius
+//!   is `Θ(log n)` and a full view would not fit.
+//! * [`run_ball_phase`] — the full compilation: the reach flood with
+//!   every node a source whose payload is its *certificate* (sorted
+//!   adjacency plus application payload). A node records only the
+//!   `(id, dist)` pairs it hears; in the final round it assembles a
 //!   [`BallView`] (member ids, member payloads, and the induced edges
-//!   among members, reconstructed from relayed adjacency certificates)
-//!   and a local rule `Fn(&mut NodeCtx, &BallView<M>) -> D` decides.
-//!   Memory is `Θ(Σ_v |B_r(v)|·Δ)`, so this is the tool for the small
-//!   constant radii of DCC detection and marking picks.
-//! * [`run_reach_phase`] — the membership-only flood: *source* nodes'
-//!   ids (plus a payload) travel `r` hops and each node folds every
-//!   distinct source it hears into a streaming accumulator. No
-//!   adjacency certificates, no retained neighborhood — the right
-//!   primitive for ruling sets on power graphs, where the radius is
-//!   `Θ(log n)` and a full view would not fit.
+//!   among members) from the flood's certificate table and a local rule
+//!   `Fn(&mut NodeCtx, &BallView<M>) -> D` decides. Memory is the
+//!   `Θ(n·Δ)` table plus `Θ(Σ_v |B_r(v)|)` retained ids, with one view
+//!   live per worker thread at a time — the tool for the small constant
+//!   radii of DCC detection and marking picks.
 //! * [`collect_ball_centered`] — single-center collection for repair
-//!   procedures: a TTL probe wave expands from the center while
-//!   certificates of probed nodes flood back, confining traffic to the
-//!   ball and costing `2r` rounds (out and back), the usual LOCAL
-//!   charge for an adaptive single-node inspection.
+//!   procedures, on its own relay: a TTL probe wave expands from the
+//!   center while certificates of probed nodes flood back, confining
+//!   traffic to the ball and costing `2r` rounds (out and back), the
+//!   usual LOCAL charge for an adaptive single-node inspection.
 //!
 //! # Dedup without per-node seen-sets
 //!
@@ -38,17 +43,18 @@
 //! round `d + 1` or `d + 2` (a neighbor `u` relays `c` exactly once, at
 //! round `dist(u, c) + 1`, and `dist(u, c) ∈ {d-1, d, d+1}`). So exact
 //! dedup needs only the two most recent "first heard" rounds plus
-//! within-round dedup. [`run_reach_phase`] keeps that window as a
+//! within-round dedup. The reach flood keeps that window as a
 //! *segmented origin-id filter*: one sorted `Vec<u32>` of every source
 //! id heard, appended one sorted segment per round, with two cursors
 //! marking the newest segments. The two newest segments are the
-//! complete duplicate filter, the newest segment doubles as the next
-//! forwarding frontier, and a source's own id seeds segment 0 (blocking
-//! its round-2 self-echo) — `O(traffic)` total work and 4 bytes of
-//! retained state per heard source, no retained payload batches.
-//! Payloads live in one flood-wide interned table (`Arc`s, built from
-//! `source` up front), so relaying and delivering a batch never clones
-//! application data. The full collectors keep their members anyway.
+//! complete duplicate filter (checked in O(1) per arrival against a
+//! per-thread epoch stamp table), the newest segment doubles as the
+//! next forwarding frontier, and a source's own id seeds segment 0
+//! (blocking its round-2 self-echo) — `O(traffic)` total work and 4
+//! bytes of retained state per heard source. Payloads — certificates
+//! included — live in one flood-wide interned table (`Arc`s, built up
+//! front), and relays carry ids only, so relaying and delivering never
+//! copies application data or adjacency lists.
 //!
 //! All decisions are computed inside the engine's recv phase from
 //! node-local state only, so they are bit-identical across
@@ -57,13 +63,19 @@
 
 use crate::engine::{node_rngs, Engine, NodeCtx, Outbox, RoundDriver};
 use crate::ledger::RoundLedger;
-use crate::overlay::{with_dedup_stamp, with_fresh_scratch, InducedOverlay, OverlayEngine};
+use crate::overlay::{
+    with_dedup_stamp, with_fresh_scratch, BatchPayloads, InducedOverlay, OverlayEngine,
+};
 use crate::wire::{
     gamma_bits, gamma_u32s_bits, read_gamma_u32s, write_gamma_u32s, BitReader, BitWriter,
     WireCodec, WireParams,
 };
 use delta_graphs::bfs::Ball;
 use delta_graphs::{Graph, GraphBuilder, NodeId};
+use std::sync::Arc;
+
+/// A flood's interned per-id payload table (`Some` exactly for sources).
+type Table<M> = Arc<Vec<Option<Arc<M>>>>;
 
 /// One node's contribution to a ball flood: its identity, its full
 /// (sorted) adjacency list — the *certificate* from which receivers
@@ -101,7 +113,9 @@ impl<M: WireCodec> WireCodec for BallItem<M> {
 /// Ball-collection relay: the items the sender first learned last
 /// round. Unbounded (`max_bits` is `None`): a single relay can carry
 /// `Θ(Δ^r)` certificates, which is exactly why ball-collection phases
-/// are LOCAL-only.
+/// are LOCAL-only. This is the reference wire format: the engine sends
+/// reach-flood batches of certificates, which encode bit for bit like
+/// the `BallMsg` of the same items in id order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BallMsg<M>(pub Vec<BallItem<M>>);
 
@@ -122,6 +136,33 @@ impl<M: WireCodec> WireCodec for BallMsg<M> {
     }
     fn encoded_bits(&self) -> u64 {
         gamma_bits(self.0.len() as u64) + self.0.iter().map(WireCodec::encoded_bits).sum::<u64>()
+    }
+    fn max_bits(_p: &WireParams) -> Option<u64> {
+        None
+    }
+}
+
+/// A node's payload in the ball flood: its sorted adjacency list and its
+/// application payload — a [`BallItem`] without the id, which the reach
+/// relay already writes in front of every payload.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Cert<M> {
+    adj: Vec<u32>,
+    payload: M,
+}
+
+impl<M: WireCodec> WireCodec for Cert<M> {
+    fn encode(&self, w: &mut BitWriter) {
+        write_gamma_u32s(w, &self.adj);
+        self.payload.encode(w);
+    }
+    fn decode(r: &mut BitReader<'_>) -> Option<Self> {
+        let adj = read_gamma_u32s(r)?;
+        let payload = M::decode(r)?;
+        Some(Cert { adj, payload })
+    }
+    fn encoded_bits(&self) -> u64 {
+        gamma_u32s_bits(&self.adj) + self.payload.encoded_bits()
     }
     fn max_bits(_p: &WireParams) -> Option<u64> {
         None
@@ -172,30 +213,25 @@ impl<M: WireCodec> WireCodec for ReachMsg<M> {
 /// size is precomputed (pinned by `reach_batch_encodes_like_reach_msg`).
 struct ReachBatch<M> {
     /// Forwarded source ids (sorted; the sender's newest segment).
-    ids: std::sync::Arc<Vec<u32>>,
-    /// The flood's per-source payload table (indexed by id in the
-    /// flood's id space; `Some` exactly for sources).
-    payloads: std::sync::Arc<Vec<Option<std::sync::Arc<M>>>>,
-    /// Exact wire size, precomputed at construction from the table.
+    ids: Arc<Vec<u32>>,
+    /// The sources' payloads: the flood's table, or decoded pairs.
+    payloads: BatchPayloads<M>,
+    /// Exact wire size, precomputed at construction.
     wire_bits: u64,
 }
 
 impl<M> Clone for ReachBatch<M> {
     fn clone(&self) -> Self {
         ReachBatch {
-            ids: std::sync::Arc::clone(&self.ids),
-            payloads: std::sync::Arc::clone(&self.payloads),
+            ids: Arc::clone(&self.ids),
+            payloads: self.payloads.clone(),
             wire_bits: self.wire_bits,
         }
     }
 }
 
 impl<M: WireCodec> ReachBatch<M> {
-    fn new(
-        ids: std::sync::Arc<Vec<u32>>,
-        payloads: &std::sync::Arc<Vec<Option<std::sync::Arc<M>>>>,
-        bits_of: &[u64],
-    ) -> Self {
+    fn new(ids: Arc<Vec<u32>>, payloads: &Table<M>, bits_of: &[u64]) -> Self {
         let wire_bits = gamma_bits(ids.len() as u64)
             + ids
                 .iter()
@@ -203,7 +239,7 @@ impl<M: WireCodec> ReachBatch<M> {
                 .sum::<u64>();
         ReachBatch {
             ids,
-            payloads: std::sync::Arc::clone(payloads),
+            payloads: BatchPayloads::Table(Arc::clone(payloads)),
             wire_bits,
         }
     }
@@ -213,35 +249,31 @@ impl<M: WireCodec> WireCodec for ReachBatch<M> {
     fn encode(&self, w: &mut BitWriter) {
         // Identical bit stream to ReachMsg over the equivalent pairs.
         w.write_gamma(self.ids.len() as u64);
-        for &id in self.ids.iter() {
+        for (i, &id) in self.ids.iter().enumerate() {
             w.write_gamma(id as u64);
-            self.payloads[id as usize]
-                .as_ref()
-                .expect("forwarded source has a payload")
-                .encode(w);
+            self.payloads.get(i, id).encode(w);
         }
     }
     fn decode(r: &mut BitReader<'_>) -> Option<Self> {
-        // Decode reconstructs a standalone table holding exactly the
-        // decoded sources (the shared flood table cannot be recovered
-        // from the wire); only the codec suites exercise this path.
-        let msg = ReachMsg::<M>::decode(r)?;
-        let ids: Vec<u32> = msg.0.iter().map(|&(id, _)| id).collect();
-        let table_len = ids.iter().max().map_or(0, |&id| id as usize + 1);
-        let mut payloads: Vec<Option<std::sync::Arc<M>>> = (0..table_len).map(|_| None).collect();
-        for (id, m) in msg.0 {
-            payloads[id as usize] = Some(std::sync::Arc::new(m));
+        // Keeps the decoded pairs: the enforced CONGEST engine decodes
+        // every relay it reassembles, so this is a hot path, and it must
+        // cost O(batch) for any source ids.
+        let len = r.read_gamma()?;
+        let mut ids = Vec::with_capacity(len.min(1 << 20) as usize);
+        let mut decoded = Vec::with_capacity(len.min(1 << 20) as usize);
+        let mut wire_bits = gamma_bits(len);
+        for _ in 0..len {
+            let id = r.read_gamma()? as u32;
+            let m = M::decode(r)?;
+            wire_bits += gamma_bits(id as u64) + m.encoded_bits();
+            ids.push(id);
+            decoded.push(m);
         }
-        let payloads = std::sync::Arc::new(payloads);
-        let bits_of: Vec<u64> = payloads
-            .iter()
-            .map(|p| p.as_ref().map_or(0, |m| m.encoded_bits()))
-            .collect();
-        Some(ReachBatch::new(
-            std::sync::Arc::new(ids),
-            &payloads,
-            &bits_of,
-        ))
+        Some(ReachBatch {
+            ids: Arc::new(ids),
+            payloads: BatchPayloads::Decoded(Arc::new(decoded)),
+            wire_bits,
+        })
     }
     fn encoded_bits(&self) -> u64 {
         self.wire_bits
@@ -307,26 +339,38 @@ impl<M> BallView<M> {
     /// the local/global mapping) for the structure helpers that consume
     /// that shape.
     pub fn to_ball(&self) -> Ball {
-        let mut b = GraphBuilder::new(self.members.len());
+        // `edges` is sorted with u < v and `members` is sorted, so one
+        // forward merge maps every u to its local id, and each v is
+        // searched only among the members after the previous v of its
+        // group. Local ids keep the order, so the local edge list is
+        // sorted too and the CSR fill needs no sort.
+        let members = &self.members;
+        let mut local = Vec::with_capacity(self.edges.len());
+        let (mut group, mut lu, mut next) = (None, 0, 0);
         for &(u, v) in &self.edges {
-            let lu = self
-                .members
-                .binary_search(&u)
-                .expect("edge endpoint is a member");
-            let lv = self
-                .members
-                .binary_search(&v)
-                .expect("edge endpoint is a member");
-            b.add_edge(lu as u32, lv as u32);
+            if group != Some(u) {
+                group = Some(u);
+                while members[lu] < u {
+                    lu += 1;
+                }
+                assert_eq!(members[lu], u, "edge endpoint is a member");
+                next = lu + 1;
+            }
+            let lv = next
+                + members[next..]
+                    .binary_search(&v)
+                    .expect("edge endpoint is a member");
+            next = lv + 1;
+            local.push((lu as u32, lv as u32));
         }
         let center = NodeId::from_index(
-            self.members
+            members
                 .binary_search(&self.center.0)
                 .expect("center is a member"),
         );
         Ball {
-            graph: b.build(),
-            globals: self.members.iter().map(|&g| NodeId(g)).collect(),
+            graph: Graph::from_sorted_edges(members.len(), &local),
+            globals: members.iter().map(|&g| NodeId(g)).collect(),
             center,
             dist: self.dist.clone(),
             radius: self.radius,
@@ -334,45 +378,40 @@ impl<M> BallView<M> {
     }
 }
 
-/// Per-node state of the full ball collector.
-struct BallState<M, D> {
-    /// Collected items in arrival order (own item first).
-    items: Vec<BallItem<M>>,
-    /// Distance of each collected item, parallel to `items`.
-    dist: Vec<u32>,
-    /// Sorted ids of collected items, for dedup.
-    seen: Vec<u32>,
-    /// Indices (into `items`) first learned last round, relayed next.
-    frontier: Vec<u32>,
-    /// The local rule's output, produced in the final recv.
-    decision: Option<D>,
-}
-
-fn assemble_view<M: Clone, D>(
+/// Assembles a node's view from the `(id, dist)` pairs it heard and the
+/// flood's certificate table. Walking members in id order and each
+/// sorted adjacency list in order emits the induced edges already
+/// sorted.
+fn assemble_view<M: Clone>(
     center: NodeId,
     radius: usize,
-    state: &BallState<M, D>,
+    heard: &[(u32, u32)],
+    certs: &[Option<Arc<Cert<M>>>],
 ) -> BallView<M> {
-    // Arrival order is grouped by distance but arbitrary within a ring;
-    // sort a permutation by id for the canonical member arrays.
-    let mut order: Vec<u32> = (0..state.items.len() as u32).collect();
-    order.sort_unstable_by_key(|&i| state.items[i as usize].id);
-    let members: Vec<u32> = order.iter().map(|&i| state.items[i as usize].id).collect();
-    let dist: Vec<u32> = order.iter().map(|&i| state.dist[i as usize]).collect();
-    let payloads: Vec<M> = order
-        .iter()
-        .map(|&i| state.items[i as usize].payload.clone())
-        .collect();
-    let mut edges = Vec::new();
-    for &i in &order {
-        let item = &state.items[i as usize];
-        for &w in &item.adj {
-            if item.id < w && members.binary_search(&w).is_ok() {
-                edges.push((item.id, w));
-            }
+    let mut by_id = heard.to_vec();
+    by_id.sort_unstable();
+    let (members, dist): (Vec<u32>, Vec<u32>) = by_id.into_iter().unzip();
+    let cert = |id: u32| {
+        certs[id as usize]
+            .as_deref()
+            .expect("member has a certificate")
+    };
+    let payloads = members.iter().map(|&u| cert(u).payload.clone()).collect();
+    // Half the members' degree sum bounds the induced edge count.
+    let degree_sum: usize = members.iter().map(|&u| cert(u).adj.len()).sum();
+    let mut edges = Vec::with_capacity(degree_sum / 2);
+    with_dedup_stamp(certs.len(), |stamp, epoch| {
+        for &u in &members {
+            stamp[u as usize] = epoch;
         }
-    }
-    edges.sort_unstable();
+        for &u in &members {
+            let inside = cert(u)
+                .adj
+                .iter()
+                .filter(|&&w| u < w && stamp[w as usize] == epoch);
+            edges.extend(inside.map(|&w| (u, w)));
+        }
+    });
     BallView {
         center,
         radius,
@@ -433,14 +472,13 @@ where
     P: Fn(NodeId) -> M + Sync,
     R: Fn(&mut NodeCtx<'_>, &BallView<M>) -> D + Sync,
 {
-    let adj_of = |v: NodeId| -> Vec<u32> { graph.neighbors(v).iter().map(|w| w.0).collect() };
-    if radius == 0 {
-        return ball_phase_zero(graph.n(), seed, &adj_of, &payload_of, &rule);
-    }
-    let engine = crate::congest::compile(Engine::new(graph, seed, |v| {
-        ball_initial_state(v, &adj_of, &payload_of)
-    }));
-    ball_phase_core(engine, radius, rule, ledger, phase)
+    let certs = intern_sources(graph.n(), &|v| {
+        Some(Cert {
+            adj: graph.neighbors(v).iter().map(|w| w.0).collect(),
+            payload: payload_of(v),
+        })
+    });
+    ball_flood(graph, None, seed, radius, certs, rule, ledger, phase)
 }
 
 /// [`run_ball_phase`] on the **induced subgraph** `G[members]`, executed
@@ -477,95 +515,41 @@ where
     }
     // Rank-space adjacency of G[members]: host neighbors filtered to
     // members; host-sorted order maps to rank-sorted order.
-    let adj_of = |r: NodeId| -> Vec<u32> {
-        graph
+    let certs = intern_sources(member_ids.len(), &|r| {
+        let adj = graph
             .neighbors(member_ids[r.index()])
             .iter()
             .filter(|w| members[w.index()])
             .map(|w| rank_of[w.index()])
-            .collect()
-    };
-    if radius == 0 {
-        return ball_phase_zero(member_ids.len(), seed, &adj_of, &payload_of, &rule);
-    }
-    let engine = crate::congest::compile(OverlayEngine::new(
-        graph,
-        InducedOverlay { members },
-        seed,
-        |r| ball_initial_state(r, &adj_of, &payload_of),
-    ));
-    ball_phase_core(engine, radius, rule, ledger, phase)
-}
-
-/// The 0-round degenerate case: every node sees only itself; decisions
-/// still draw from the per-node RNG streams a driver with this seed
-/// would provide.
-fn ball_phase_zero<M, D, R>(
-    n: usize,
-    seed: u64,
-    adj_of: &(impl Fn(NodeId) -> Vec<u32> + Sync),
-    payload_of: &(impl Fn(NodeId) -> M + Sync),
-    rule: &R,
-) -> Vec<D>
-where
-    M: Clone,
-    R: Fn(&mut NodeCtx<'_>, &BallView<M>) -> D,
-{
-    let mut rngs = node_rngs(seed, n);
-    (0..n)
-        .map(|i| {
-            let v = NodeId::from_index(i);
-            let adj = adj_of(v);
-            let degree = adj.len();
-            let state = BallState::<M, D> {
-                items: vec![BallItem {
-                    id: v.0,
-                    adj,
-                    payload: payload_of(v),
-                }],
-                dist: vec![0],
-                seen: vec![v.0],
-                frontier: Vec::new(),
-                decision: None,
-            };
-            let view = assemble_view(v, 0, &state);
-            let mut ctx = NodeCtx {
-                id: v,
-                degree,
-                rng: &mut rngs[i],
-            };
-            rule(&mut ctx, &view)
+            .collect();
+        Some(Cert {
+            adj,
+            payload: payload_of(r),
         })
-        .collect()
+    });
+    ball_flood(
+        graph,
+        Some(members),
+        seed,
+        radius,
+        certs,
+        rule,
+        ledger,
+        phase,
+    )
 }
 
-/// A node's round-0 collector state: its own certificate, queued for
-/// the first relay.
-fn ball_initial_state<M, D>(
-    v: NodeId,
-    adj_of: &impl Fn(NodeId) -> Vec<u32>,
-    payload_of: &impl Fn(NodeId) -> M,
-) -> BallState<M, D> {
-    BallState {
-        items: vec![BallItem {
-            id: v.0,
-            adj: adj_of(v),
-            payload: payload_of(v),
-        }],
-        dist: vec![0],
-        seen: vec![v.0],
-        frontier: vec![0],
-        decision: None,
-    }
-}
-
-/// The flood itself, generic over the round driver ([`Engine`] for host
-/// executions, [`OverlayEngine`] for induced ones): `radius` relay
-/// rounds of certificate floods, then the local rule on the assembled
-/// views.
-fn ball_phase_core<M, D, R, DR>(
-    mut driver: DR,
+/// The ball collector on the reach flood: every node is a source whose
+/// payload is its certificate, each node records the `(id, dist)` of
+/// every member it hears, and the final round assembles its view from
+/// the certificate table.
+#[allow(clippy::too_many_arguments)]
+fn ball_flood<M, D, R>(
+    graph: &Graph,
+    members: Option<&[bool]>,
+    seed: u64,
     radius: usize,
+    certs: Table<Cert<M>>,
     rule: R,
     ledger: &mut RoundLedger,
     phase: &str,
@@ -574,45 +558,20 @@ where
     M: Clone + Send + Sync + WireCodec + 'static,
     D: Send,
     R: Fn(&mut NodeCtx<'_>, &BallView<M>) -> D + Sync,
-    DR: RoundDriver<BallState<M, D>>,
 {
-    for t in 1..=radius as u32 {
-        let last = t as usize == radius;
-        driver.round_step(
-            ledger,
-            phase,
-            |_, s: &mut BallState<M, D>, out: &mut Outbox<BallMsg<M>>| {
-                if !s.frontier.is_empty() {
-                    let items = std::mem::take(&mut s.frontier)
-                        .into_iter()
-                        .map(|i| s.items[i as usize].clone())
-                        .collect();
-                    out.broadcast(BallMsg(items));
-                }
-            },
-            |ctx, s, inbox| {
-                for (_, msg) in inbox {
-                    for item in &msg.0 {
-                        if let Err(at) = s.seen.binary_search(&item.id) {
-                            s.seen.insert(at, item.id);
-                            s.frontier.push(s.items.len() as u32);
-                            s.items.push(item.clone());
-                            s.dist.push(t);
-                        }
-                    }
-                }
-                if last {
-                    let view = assemble_view(ctx.id, radius, s);
-                    s.decision = Some(rule(ctx, &view));
-                }
-            },
-        );
-    }
-    driver
-        .into_node_states()
-        .into_iter()
-        .map(|s| s.decision.expect("final round decided every node"))
-        .collect()
+    let table = Arc::clone(&certs);
+    reach_flood(
+        graph,
+        members,
+        seed,
+        radius,
+        certs,
+        |_| Vec::new(),
+        |heard: &mut Vec<(u32, u32)>, id, dist, _: &Cert<M>| heard.push((id, dist)),
+        |ctx, heard| rule(ctx, &assemble_view(ctx.id, radius, heard, &table)),
+        ledger,
+        phase,
+    )
 }
 
 /// Collects every node's radius-`r` [`BallView`] through the engine
@@ -667,11 +626,12 @@ struct ReachState<A, D> {
 /// order), and `finish` turns the accumulator into the node's decision
 /// with access to its private randomness.
 ///
-/// This is the membership-only sibling of [`run_ball_phase`]: no
-/// adjacency certificates travel and nothing is retained beyond the
-/// caller's accumulator and an `O(ring)` dedup window (see the module
-/// docs), so it scales to the `Θ(log n)`-radius floods of power-graph
-/// ruling sets. Costs exactly `radius` engine rounds charged to `phase`.
+/// This is the membership-only use of the flood that also carries
+/// [`run_ball_phase`]: no adjacency certificates travel and nothing is
+/// retained beyond the caller's accumulator and an `O(ring)` dedup
+/// window (see the module docs), so it scales to the `Θ(log n)`-radius
+/// floods of power-graph ruling sets. Costs exactly `radius` engine
+/// rounds charged to `phase`.
 #[allow(clippy::too_many_arguments)]
 pub fn run_reach_phase<M, A, D, SRC, INIT, ABS, FIN>(
     graph: &Graph,
@@ -693,15 +653,10 @@ where
     ABS: Fn(&mut A, u32, u32, &M) + Sync,
     FIN: Fn(&mut NodeCtx<'_>, &A) -> D + Sync,
 {
-    if radius == 0 {
-        let deg_of = |v: NodeId| graph.degree(v);
-        return reach_phase_zero(graph.n(), seed, &deg_of, &source, &init, &absorb, &finish);
-    }
     let payloads = intern_sources(graph.n(), &source);
-    let engine = crate::congest::compile(Engine::new(graph, seed, |v| {
-        reach_initial_state(v, &payloads, &init, &absorb)
-    }));
-    reach_phase_core(engine, radius, payloads, absorb, finish, ledger, phase)
+    reach_flood(
+        graph, None, seed, radius, payloads, init, absorb, finish, ledger, phase,
+    )
 }
 
 /// [`run_reach_phase`] on the **induced subgraph** `G[members]`,
@@ -732,76 +687,106 @@ where
     ABS: Fn(&mut A, u32, u32, &M) + Sync,
     FIN: Fn(&mut NodeCtx<'_>, &A) -> D + Sync,
 {
-    if radius == 0 {
-        let member_ids: Vec<NodeId> = graph.nodes().filter(|v| members[v.index()]).collect();
-        let deg_of = |r: NodeId| {
-            graph
-                .neighbors(member_ids[r.index()])
-                .iter()
-                .filter(|w| members[w.index()])
-                .count()
-        };
-        return reach_phase_zero(
-            member_ids.len(),
-            seed,
-            &deg_of,
-            &source,
-            &init,
-            &absorb,
-            &finish,
-        );
-    }
     let member_count = members.iter().filter(|&&b| b).count();
     let payloads = intern_sources(member_count, &source);
-    let engine = crate::congest::compile(OverlayEngine::new(
+    reach_flood(
         graph,
-        InducedOverlay { members },
+        Some(members),
         seed,
-        |r| reach_initial_state(r, &payloads, &init, &absorb),
-    ));
-    reach_phase_core(engine, radius, payloads, absorb, finish, ledger, phase)
+        radius,
+        payloads,
+        init,
+        absorb,
+        finish,
+        ledger,
+        phase,
+    )
 }
 
-/// The 0-round degenerate case of the reach flood.
-fn reach_phase_zero<M, A, D, FIN>(
-    n: usize,
+/// Runs a reach flood over an interned payload table: on the host
+/// engine, or — given `members` — on `G[members]` through the
+/// [`InducedOverlay`], with ids in the member-rank space.
+#[allow(clippy::too_many_arguments)]
+fn reach_flood<M, A, D, INIT, ABS, FIN>(
+    graph: &Graph,
+    members: Option<&[bool]>,
     seed: u64,
-    deg_of: &(impl Fn(NodeId) -> usize + Sync),
-    source: &(impl Fn(NodeId) -> Option<M> + Sync),
-    init: &(impl Fn(NodeId) -> A + Sync),
-    absorb: &(impl Fn(&mut A, u32, u32, &M) + Sync),
-    finish: &FIN,
+    radius: usize,
+    payloads: Table<M>,
+    init: INIT,
+    absorb: ABS,
+    finish: FIN,
+    ledger: &mut RoundLedger,
+    phase: &str,
 ) -> Vec<D>
 where
-    FIN: Fn(&mut NodeCtx<'_>, &A) -> D,
+    M: Clone + Send + Sync + WireCodec + 'static,
+    A: Send,
+    D: Send,
+    INIT: Fn(NodeId) -> A + Sync,
+    ABS: Fn(&mut A, u32, u32, &M) + Sync,
+    FIN: Fn(&mut NodeCtx<'_>, &A) -> D + Sync,
 {
-    let mut rngs = node_rngs(seed, n);
-    (0..n)
-        .map(|i| {
-            let v = NodeId::from_index(i);
-            let mut acc = init(v);
-            if let Some(m) = source(v) {
-                absorb(&mut acc, v.0, 0, &m);
+    if radius == 0 {
+        return reach_phase_zero(graph, members, seed, &payloads, &init, &absorb, &finish);
+    }
+    let init_state = |v| reach_initial_state(v, &payloads, &init, &absorb);
+    match members {
+        None => {
+            let engine = crate::congest::compile(Engine::new(graph, seed, init_state));
+            reach_phase_core(engine, radius, payloads, absorb, finish, ledger, phase)
+        }
+        Some(members) => {
+            let overlay = OverlayEngine::new(graph, InducedOverlay { members }, seed, init_state);
+            let engine = crate::congest::compile(overlay);
+            reach_phase_core(engine, radius, payloads, absorb, finish, ledger, phase)
+        }
+    }
+}
+
+/// The 0-round degenerate case of the reach flood: every node absorbs
+/// only itself; decisions still draw from the per-node RNG streams a
+/// driver with this seed would provide.
+fn reach_phase_zero<M, A, D>(
+    graph: &Graph,
+    members: Option<&[bool]>,
+    seed: u64,
+    payloads: &[Option<Arc<M>>],
+    init: &impl Fn(NodeId) -> A,
+    absorb: &impl Fn(&mut A, u32, u32, &M),
+    finish: &impl Fn(&mut NodeCtx<'_>, &A) -> D,
+) -> Vec<D> {
+    // Degrees in the flood's id space (member ranks for a mask).
+    let degrees: Vec<usize> = match members {
+        None => graph.nodes().map(|v| graph.degree(v)).collect(),
+        Some(m) => graph
+            .nodes()
+            .filter(|v| m[v.index()])
+            .map(|v| graph.neighbors(v).iter().filter(|w| m[w.index()]).count())
+            .collect(),
+    };
+    let mut rngs = node_rngs(seed, degrees.len());
+    degrees
+        .into_iter()
+        .zip(&mut rngs)
+        .enumerate()
+        .map(|(i, (degree, rng))| {
+            let id = NodeId::from_index(i);
+            let mut acc = init(id);
+            if let Some(m) = payloads[i].as_deref() {
+                absorb(&mut acc, id.0, 0, m);
             }
-            let mut ctx = NodeCtx {
-                id: v,
-                degree: deg_of(v),
-                rng: &mut rngs[i],
-            };
-            finish(&mut ctx, &acc)
+            finish(&mut NodeCtx { id, degree, rng }, &acc)
         })
         .collect()
 }
 
 /// Interns every source's payload once into the flood-wide shared
 /// table; ids are in the flood's id space (host ids or member ranks).
-fn intern_sources<M>(
-    n: usize,
-    source: &impl Fn(NodeId) -> Option<M>,
-) -> std::sync::Arc<Vec<Option<std::sync::Arc<M>>>> {
-    std::sync::Arc::new(
+fn intern_sources<M>(n: usize, source: &impl Fn(NodeId) -> Option<M>) -> Table<M> {
+    Arc::new(
         (0..n)
-            .map(|i| source(NodeId::from_index(i)).map(std::sync::Arc::new))
+            .map(|i| source(NodeId::from_index(i)).map(Arc::new))
             .collect(),
     )
 }
@@ -810,7 +795,7 @@ fn intern_sources<M>(
 /// id seeding window segment 0 (= the first forwarding frontier).
 fn reach_initial_state<M, A, D>(
     v: NodeId,
-    payloads: &[Option<std::sync::Arc<M>>],
+    payloads: &[Option<Arc<M>>],
     init: &impl Fn(NodeId) -> A,
     absorb: &impl Fn(&mut A, u32, u32, &M),
 ) -> ReachState<A, D> {
@@ -833,7 +818,7 @@ fn reach_initial_state<M, A, D>(
 fn reach_phase_core<M, A, D, ABS, FIN, DR>(
     mut driver: DR,
     radius: usize,
-    payloads: std::sync::Arc<Vec<Option<std::sync::Arc<M>>>>,
+    payloads: Table<M>,
     absorb: ABS,
     finish: FIN,
     ledger: &mut RoundLedger,
@@ -861,11 +846,7 @@ where
                 // at round t-1, payloads looked up from the table.
                 let seg = &s.heard[s.last_start as usize..];
                 if !seg.is_empty() {
-                    out.broadcast(ReachBatch::new(
-                        std::sync::Arc::new(seg.to_vec()),
-                        &payloads,
-                        &bits_of,
-                    ));
+                    out.broadcast(ReachBatch::new(Arc::new(seg.to_vec()), &payloads, &bits_of));
                 }
             },
             |ctx, s, inbox| {
@@ -1213,7 +1194,6 @@ mod tests {
     #[test]
     fn reach_batch_encodes_like_reach_msg() {
         use crate::wire::{decode_from_bytes, encode_to_bytes};
-        use std::sync::Arc;
         // Table over ids 0..5; ids 1 and 3 are not sources.
         let raw: Vec<Option<u32>> = vec![Some(4000), None, Some(0), None, Some(31)];
         let payloads: Arc<Vec<Option<Arc<u32>>>> =
@@ -1234,16 +1214,62 @@ mod tests {
             assert_eq!(batch_bytes, msg_bytes, "bit-identical stream");
             assert_eq!(batch_bits, msg_bits, "identical charged size");
             assert_eq!(batch.encoded_bits(), batch_bits, "precomputed size honesty");
-            // Roundtrip through the standalone-table decode path.
+            // Roundtrip through the pair-keeping decode path.
             let back: ReachBatch<u32> =
                 decode_from_bytes(&batch_bytes, batch_bits).expect("decodes");
             assert_eq!(*back.ids, ids);
-            for &id in &ids {
-                assert_eq!(
-                    back.payloads[id as usize].as_deref(),
-                    raw[id as usize].as_ref()
-                );
+            for (i, &id) in ids.iter().enumerate() {
+                assert_eq!(Some(back.payloads.get(i, id)), raw[id as usize].as_ref());
             }
+            assert_eq!(encode_to_bytes(&back), (batch_bytes, batch_bits));
+        }
+    }
+
+    #[test]
+    fn reach_batch_decodes_a_huge_id_without_a_table() {
+        use crate::wire::{decode_from_bytes, encode_to_bytes};
+        // An id-indexed decode table for this id would need 2^32
+        // entries; the pair-keeping decoder stores one item.
+        let msg = ReachMsg(vec![(u32::MAX - 1, 5u32)]);
+        let (bytes, bits) = encode_to_bytes(&msg);
+        let back: ReachBatch<u32> = decode_from_bytes(&bytes, bits).expect("decodes");
+        assert_eq!(*back.ids, vec![u32::MAX - 1]);
+        assert_eq!(back.encoded_bits(), bits);
+        assert_eq!(encode_to_bytes(&back), (bytes, bits));
+    }
+
+    #[test]
+    fn cert_relay_encodes_like_ball_msg() {
+        use crate::wire::encode_to_bytes;
+        // The ball collector's relays are reach batches over an interned
+        // certificate table; on the wire they must be the BallMsg of the
+        // same items in id order.
+        let g = generators::random_regular(12, 3, 5);
+        let certs = intern_sources(g.n(), &|v| {
+            Some(Cert {
+                adj: g.neighbors(v).iter().map(|w| w.0).collect(),
+                payload: v.0 % 3 == 0,
+            })
+        });
+        let bits_of: Vec<u64> = certs
+            .iter()
+            .map(|c| c.as_ref().map_or(0, |c| c.encoded_bits()))
+            .collect();
+        for ids in [vec![0u32, 4, 5, 11], vec![7], Vec::new()] {
+            let batch = ReachBatch::new(Arc::new(ids.clone()), &certs, &bits_of);
+            let msg = BallMsg(
+                ids.iter()
+                    .map(|&id| BallItem {
+                        id,
+                        adj: g.neighbors(NodeId(id)).iter().map(|w| w.0).collect(),
+                        payload: id % 3 == 0,
+                    })
+                    .collect(),
+            );
+            let (batch_bytes, batch_bits) = encode_to_bytes(&batch);
+            assert_eq!(encode_to_bytes(&msg), (batch_bytes, batch_bits));
+            assert_eq!(batch.encoded_bits(), msg.encoded_bits());
+            assert_eq!(batch.encoded_bits(), batch_bits);
         }
     }
 

@@ -431,6 +431,41 @@ pub(crate) fn with_dedup_stamp<R>(n: usize, f: impl FnOnce(&mut [u32], u32) -> R
     })
 }
 
+/// The payload side of an interned relay batch ([`FloodBatch`] here,
+/// the reach flood's `ReachBatch` in `ball`). A batch a flood builds
+/// points into the flood's shared per-id table; a batch decoded off the
+/// wire keeps its decoded payloads in item order instead. Decoding thus
+/// costs `O(batch)` whatever the ids are — no id-indexed table, so an
+/// id near `u32::MAX` is just a number — and receivers never read it:
+/// they take payloads from their own flood's table.
+pub(crate) enum BatchPayloads<M> {
+    /// The flood's per-id table (`Some` exactly for ids that broadcast).
+    Table(Arc<Vec<Option<Arc<M>>>>),
+    /// Decoded payloads, parallel to the batch's ids.
+    Decoded(Arc<Vec<M>>),
+}
+
+impl<M> Clone for BatchPayloads<M> {
+    fn clone(&self) -> Self {
+        match self {
+            BatchPayloads::Table(t) => BatchPayloads::Table(Arc::clone(t)),
+            BatchPayloads::Decoded(d) => BatchPayloads::Decoded(Arc::clone(d)),
+        }
+    }
+}
+
+impl<M> BatchPayloads<M> {
+    /// The payload of the batch's `i`-th item, whose id is `id`.
+    pub(crate) fn get(&self, i: usize, id: u32) -> &M {
+        match self {
+            BatchPayloads::Table(t) => t[id as usize]
+                .as_deref()
+                .expect("forwarded id has a payload"),
+            BatchPayloads::Decoded(d) => &d[i],
+        }
+    }
+}
+
 /// Dilation-`k` relay envelope with interned payloads: the origin ranks
 /// a node forwards this round, the round-uniform remaining hop TTL, and
 /// a handle to the flood's shared per-origin payload table. Equivalent
@@ -447,10 +482,9 @@ struct FloodBatch<M> {
     /// `t − 1` carries `clamp − (t − 1)` at round `t`, and all
     /// forwarded items were first heard last round.
     ttl: u32,
-    /// The flood's per-origin payload table (indexed by rank; `Some`
-    /// exactly for origins that broadcast).
-    payloads: Arc<Vec<Option<Arc<M>>>>,
-    /// Exact wire size, precomputed at construction from the table.
+    /// The origins' payloads: the flood's table, or decoded pairs.
+    payloads: BatchPayloads<M>,
+    /// Exact wire size, precomputed at construction.
     wire_bits: u64,
 }
 
@@ -459,7 +493,7 @@ impl<M> Clone for FloodBatch<M> {
         FloodBatch {
             origins: Arc::clone(&self.origins),
             ttl: self.ttl,
-            payloads: Arc::clone(&self.payloads),
+            payloads: self.payloads.clone(),
             wire_bits: self.wire_bits,
         }
     }
@@ -480,7 +514,7 @@ impl<M: WireCodec> FloodBatch<M> {
         FloodBatch {
             origins,
             ttl,
-            payloads: Arc::clone(payloads),
+            payloads: BatchPayloads::Table(Arc::clone(payloads)),
             wire_bits,
         }
     }
@@ -492,41 +526,35 @@ impl<M: WireCodec> WireCodec for FloodBatch<M> {
         // RelayItem sequence (pinned by flood_batch_encodes_like_
         // overlay_relay).
         w.write_gamma(self.origins.len() as u64);
-        for &o in self.origins.iter() {
+        for (i, &o) in self.origins.iter().enumerate() {
             w.write_gamma(o as u64);
             w.write_gamma(self.ttl as u64);
-            self.payloads[o as usize]
-                .as_ref()
-                .expect("forwarded origin has a broadcast")
-                .encode(w);
+            self.payloads.get(i, o).encode(w);
         }
     }
     fn decode(r: &mut BitReader<'_>) -> Option<Self> {
-        // Decode reconstructs a standalone table holding exactly the
-        // decoded origins (the shared flood table cannot be recovered
-        // from the wire); only the codec suites exercise this path.
+        // Keeps the decoded (origin, payload) pairs: the enforced
+        // CONGEST engine decodes every relay it reassembles, so this is
+        // a hot path, and it must cost O(batch) for any origin ids.
         let len = r.read_gamma()?;
         let mut origins = Vec::with_capacity(len.min(1 << 20) as usize);
+        let mut decoded = Vec::with_capacity(len.min(1 << 20) as usize);
         let mut ttl = 0u32;
-        let mut decoded: Vec<(u32, M)> = Vec::with_capacity(len.min(1 << 20) as usize);
+        let mut wire_bits = gamma_bits(len);
         for _ in 0..len {
             let o = r.read_gamma()? as u32;
             ttl = r.read_gamma()? as u32;
-            decoded.push((o, M::decode(r)?));
+            let m = M::decode(r)?;
+            wire_bits += gamma_bits(o as u64) + gamma_bits(ttl as u64) + m.encoded_bits();
             origins.push(o);
+            decoded.push(m);
         }
-        let table_len = origins.iter().max().map_or(0, |&o| o as usize + 1);
-        let mut payloads: Vec<Option<Arc<M>>> = (0..table_len).map(|_| None).collect();
-        for (o, m) in decoded {
-            payloads[o as usize] = Some(Arc::new(m));
-        }
-        let origins = Arc::new(origins);
-        let payloads = Arc::new(payloads);
-        let bits_of: Vec<u64> = payloads
-            .iter()
-            .map(|p| p.as_ref().map_or(0, |m| m.encoded_bits()))
-            .collect();
-        Some(FloodBatch::new(origins, ttl, &payloads, &bits_of))
+        Some(FloodBatch {
+            origins: Arc::new(origins),
+            ttl,
+            payloads: BatchPayloads::Decoded(Arc::new(decoded)),
+            wire_bits,
+        })
     }
     fn encoded_bits(&self) -> u64 {
         self.wire_bits
@@ -1522,17 +1550,35 @@ mod tests {
             assert_eq!(batch_bytes, relay_bytes, "bit-identical stream");
             assert_eq!(batch_bits, relay_bits, "identical charged size");
             assert_eq!(batch.encoded_bits(), batch_bits, "precomputed size honesty");
-            // Roundtrip through the standalone-table decode path.
+            // Roundtrip through the pair-keeping decode path.
             let back: FloodBatch<u32> =
                 decode_from_bytes(&batch_bytes, batch_bits).expect("decodes");
             assert_eq!(*back.origins, origins);
-            for &o in &origins {
-                assert_eq!(
-                    back.payloads[o as usize].as_deref(),
-                    raw[o as usize].as_ref()
-                );
+            for (i, &o) in origins.iter().enumerate() {
+                assert_eq!(Some(back.payloads.get(i, o)), raw[o as usize].as_ref());
             }
+            assert_eq!(encode_to_bytes(&back), (batch_bytes, batch_bits));
         }
+    }
+
+    #[test]
+    fn flood_batch_decodes_a_huge_origin_without_a_table() {
+        use crate::wire::{decode_from_bytes, encode_to_bytes};
+        // An id-indexed decode table for this origin would need 2^32
+        // entries; the pair-keeping decoder stores one item.
+        let relay = OverlayRelay {
+            items: Arc::new(vec![RelayItem {
+                origin: u32::MAX - 1,
+                ttl: 2,
+                payload: 77u32,
+            }]),
+        };
+        let (bytes, bits) = encode_to_bytes(&relay);
+        let back: FloodBatch<u32> = decode_from_bytes(&bytes, bits).expect("decodes");
+        assert_eq!(*back.origins, vec![u32::MAX - 1]);
+        assert_eq!(back.ttl, 2);
+        assert_eq!(back.encoded_bits(), bits);
+        assert_eq!(encode_to_bytes(&back), (bytes, bits));
     }
 
     #[test]

@@ -9,12 +9,15 @@
 //! guard drives the whole phase down each). The same treatment covers
 //! the streaming reach flood (against oracle distances) and the
 //! single-center collection, plus ledger fingerprints: rounds, bits,
-//! and per-edge maxima must be bit-identical across schedules.
+//! and per-edge maxima must be bit-identical across schedules. Two more
+//! equivalences pin the ball phase's other execution paths: under
+//! CONGEST enforcement it must assemble the LOCAL run's views, and on an
+//! induced overlay it must match a run on the materialized subgraph.
 
 use delta_graphs::{bfs, Graph, NodeId};
 use local_model::{
-    collect_ball_centered, collect_ball_views, force_exec_mode, run_reach_phase, BallView,
-    ExecMode, RoundLedger,
+    collect_ball_centered, collect_ball_views, enforce_congest, force_exec_mode,
+    run_ball_phase_within, run_reach_phase, BallView, ExecMode, RoundLedger, MIN_CONGEST_BITS,
 };
 use proptest::prelude::*;
 
@@ -23,6 +26,20 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
         proptest::collection::vec((0..n as u32, 0..n as u32), 0..3 * n).prop_map(move |pairs| {
             let edges: Vec<(u32, u32)> = pairs.into_iter().filter(|&(a, b)| a != b).collect();
             Graph::from_edges(n, &edges).expect("valid")
+        })
+    })
+}
+
+/// An arbitrary graph with a membership mask over its nodes (at least
+/// one member).
+fn arb_graph_with_mask() -> impl Strategy<Value = (Graph, Vec<bool>)> {
+    arb_graph().prop_flat_map(|g| {
+        let n = g.n();
+        proptest::collection::vec(proptest::bool::ANY, n..n).prop_map(move |mut m| {
+            if !m.iter().any(|&b| b) {
+                m[0] = true;
+            }
+            (g.clone(), m)
         })
     })
 }
@@ -131,5 +148,67 @@ proptest! {
         prop_assert_eq!(&seq.graph, &oracle.graph, "induced subgraph mismatch");
         prop_assert_eq!(seq.center, oracle.center);
         prop_assert_eq!(seq_fp.0, 2 * r as u64, "out-and-back costs 2r rounds");
+    }
+
+    #[test]
+    fn congest_enforced_views_match_local(
+        g in arb_graph(),
+        r in 1usize..4,
+        budget in MIN_CONGEST_BITS..MIN_CONGEST_BITS + 64,
+    ) {
+        let local =
+            collect_ball_views(&g, r, |v| v.0.wrapping_mul(7), &mut RoundLedger::new(), "ball");
+        let mut ledger = RoundLedger::new();
+        let enforced = {
+            let _congest = enforce_congest(budget);
+            collect_ball_views(&g, r, |v| v.0.wrapping_mul(7), &mut ledger, "ball")
+        };
+        prop_assert_eq!(&enforced, &local, "enforced views diverged from LOCAL");
+        prop_assert_eq!(ledger.congest_violations(), 0);
+        prop_assert!(ledger.max_edge_bits() <= budget, "a wire round broke the budget");
+    }
+
+    #[test]
+    fn within_matches_materialized_subgraph(gm in arb_graph_with_mask(), r in 0usize..4) {
+        let (g, mask) = gm;
+        let mut within_ledger = RoundLedger::new();
+        let within: Vec<BallView<u32>> = run_ball_phase_within(
+            &g,
+            &mask,
+            0,
+            r,
+            |v| v.0.wrapping_mul(7),
+            |_, view| view.clone(),
+            &mut within_ledger,
+            "ball",
+        );
+        let members: Vec<NodeId> = g.nodes().filter(|v| mask[v.index()]).collect();
+        let (sub, _map) = g.induced(&members);
+        let mut sub_ledger = RoundLedger::new();
+        let materialized =
+            collect_ball_views(&sub, r, |v| v.0.wrapping_mul(7), &mut sub_ledger, "ball");
+        prop_assert_eq!(&within, &materialized, "views diverged from materialized G[S]");
+        // The overlay wraps each relay in a broadcast-only
+        // OverlayEnvelope: a flag bit plus gamma(0) for the empty
+        // directed list, 2 bits on top of the relay itself. A node
+        // relays at round t iff some node lies at distance exactly t-1,
+        // to each of its neighbors in G[S].
+        let transmissions: u64 = sub
+            .nodes()
+            .map(|v| {
+                let far = bfs::distances(&sub, v)
+                    .into_iter()
+                    .filter(|&d| d != bfs::UNREACHABLE)
+                    .max()
+                    .unwrap_or(0) as usize;
+                (sub.degree(v) * r.min(far + 1)) as u64
+            })
+            .sum();
+        let (w, m) = (ledger_fingerprint(&within_ledger), ledger_fingerprint(&sub_ledger));
+        prop_assert_eq!(w.0, m.0, "dilation 1: same round count");
+        prop_assert_eq!(w.1, m.1 + 2 * transmissions, "bits beyond the envelope framing");
+        let framing = if transmissions > 0 { 2 } else { 0 };
+        prop_assert_eq!(w.2, m.2 + framing, "per-edge maximum beyond the envelope framing");
+        prop_assert_eq!(w.3, m.3);
     }
 }
