@@ -146,7 +146,7 @@ impl<M: WireCodec> WireCodec for BallMsg<M> {
 /// application payload — a [`BallItem`] without the id, which the reach
 /// relay already writes in front of every payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct Cert<M> {
+pub(crate) struct Cert<M> {
     adj: Vec<u32>,
     payload: M,
 }
@@ -211,7 +211,7 @@ impl<M: WireCodec> WireCodec for ReachMsg<M> {
 /// `encoded_bits` — to the [`ReachMsg`] carrying `(id, payloads[id])`
 /// pairs, but per-edge copies are two refcount bumps and the charged
 /// size is precomputed (pinned by `reach_batch_encodes_like_reach_msg`).
-struct ReachBatch<M> {
+pub(crate) struct ReachBatch<M> {
     /// Forwarded source ids (sorted; the sender's newest segment).
     ids: Arc<Vec<u32>>,
     /// The sources' payloads: the flood's table, or decoded pairs.

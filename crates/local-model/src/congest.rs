@@ -13,18 +13,35 @@
 //!   most `budget` bits, framed as gamma-coded stream id, chunk index,
 //!   final flag, gamma-coded payload length, and the raw payload bits
 //!   (exact [`WireCodec::encoded_bits`] accounting; see
-//!   [`CongestChunk`]).
+//!   [`CongestChunk`]). Chunks leave room for the inner driver's own
+//!   per-edge frame ([`BandwidthConfig::frame_bits`]: the 2–4-bit
+//!   envelope of a dilation-1 overlay), so the host edge, not only the
+//!   chunk, stays within the budget.
 //! * [`PipelineScheduler`] — per-sender chunk queues drained over
 //!   consecutive wire rounds in deterministic (stream id, chunk index)
 //!   order: the broadcast stream first (its chunks ride the inner
 //!   driver's broadcast), then one chunk per destination queue per
 //!   round — so no directed edge ever carries more than one chunk per
 //!   wire round, and the enforced budget is provably respected.
-//! * [`Reassembler`] — receive-side partial streams, keyed by (sender,
+//! * [`Reassembler`] — receive-side partial streams, sorted by (sender,
 //!   stream id); a message reaches the node program only on the wire
 //!   round its last chunk lands. Incomplete or gapped streams (chunk
 //!   faults) lose the whole message, mirroring message-level fault
 //!   semantics.
+//!
+//! # Zero-copy reassembly
+//!
+//! A sender encodes each message once into a shared buffer, and every
+//! chunk of the stream is a slice `off..off + len` of that buffer (an
+//! [`Arc`] bump, no copy). The receiver keeps a stream as a view
+//! `(buffer, end)` — bits `0..end` of the sender's buffer — for as long
+//! as each new chunk is the next contiguous slice of the *same* buffer
+//! (`Arc::ptr_eq` and `off == end`), and decodes the finished message
+//! straight from it. Any other chunk — one rebuilt by a fault's codec
+//! round trip, which owns a fresh buffer — moves the stream to a copied
+//! bit buffer, so both paths decode the same bits. The receiver always
+//! runs `M::decode` on the reassembled bits; it never sees the sender's
+//! object.
 //!
 //! One logical round therefore dilates into
 //! `max_v (B_v + max_d Q_{v,d})` wire rounds — the broadcast chunk
@@ -77,7 +94,7 @@ use crate::trace::VirtualRecord;
 use crate::wire::{gamma_bits, BitReader, BitWriter, WireCodec, WireParams};
 use delta_graphs::NodeId;
 use std::cell::Cell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
@@ -247,6 +264,9 @@ impl WireCodec for CongestChunk {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fragmenter {
     budget: u64,
+    /// Bits of the budget left for the inner driver's per-edge frame
+    /// ([`BandwidthConfig::frame_bits`]): chunks fill `budget - reserve`.
+    reserve: u64,
 }
 
 impl Fragmenter {
@@ -260,7 +280,15 @@ impl Fragmenter {
             budget >= MIN_CONGEST_BITS,
             "congest budget {budget} below the {MIN_CONGEST_BITS}-bit chunk-frame minimum"
         );
-        Fragmenter { budget }
+        Fragmenter { budget, reserve: 0 }
+    }
+
+    /// Leaves `bits` of every edge's budget to the inner driver's frame
+    /// (builder style): chunks are sized to `budget - bits`, so a chunk
+    /// wrapped in that frame still fits the edge.
+    fn reserving(mut self, bits: u64) -> Self {
+        self.reserve = bits;
+        self
     }
 
     /// The per-edge-per-round bit budget chunks are sized for.
@@ -268,11 +296,17 @@ impl Fragmenter {
         self.budget
     }
 
+    /// The largest chunk [`Fragmenter::fragment`] produces: the budget
+    /// minus the reserved frame bits.
+    fn chunk_budget(&self) -> u64 {
+        self.budget - self.reserve
+    }
+
     /// Largest payload length a (stream, index) chunk can carry:
-    /// max `L` with `frame(stream, index, L) + L <= budget`.
+    /// max `L` with `frame(stream, index, L) + L <= chunk_budget`.
     fn capacity(&self, stream: u64, index: u64) -> u64 {
         let fixed = gamma_bits(stream) + gamma_bits(index) + 1;
-        let Some(room) = self.budget.checked_sub(fixed) else {
+        let Some(room) = self.chunk_budget().checked_sub(fixed) else {
             return 0;
         };
         // gamma_bits is monotone, so start at the guaranteed-feasible
@@ -285,7 +319,8 @@ impl Fragmenter {
     }
 
     /// Fragments `msg` into the chunks of stream `stream`. Every chunk
-    /// satisfies `encoded_bits() <= budget`; a 0-bit message still
+    /// satisfies `encoded_bits() <= budget` (less any bits reserved for
+    /// the inner driver's frame); a 0-bit message still
     /// produces one (empty, final) chunk so the receiver learns it
     /// exists.
     ///
@@ -295,7 +330,7 @@ impl Fragmenter {
     /// already exhausts the budget — a sign the budget is far too small
     /// for the traffic (astronomical stream counts).
     pub fn fragment<M: WireCodec>(&self, stream: u64, msg: &M) -> Vec<CongestChunk> {
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::with_capacity(msg.encoded_bits());
         msg.encode(&mut w);
         let (bytes, bits) = w.finish();
         debug_assert_eq!(bits, msg.encoded_bits(), "codec size honesty");
@@ -398,25 +433,83 @@ impl PipelineScheduler {
     }
 }
 
+/// The bits received so far on one stream.
+#[derive(Debug)]
+enum StreamBits {
+    /// No chunk yet.
+    Empty,
+    /// Zero-copy view: bits `0..end` of the sender's shared encode
+    /// buffer. Holds while every chunk so far was the next contiguous
+    /// slice of the same buffer — the fault-free case.
+    Shared { data: Arc<Vec<u8>>, end: u64 },
+    /// Copied bits: the stream met a chunk that is not the next slice of
+    /// the view (a decoded chunk, e.g. after a fault's codec round trip).
+    Copied(BitWriter),
+}
+
+impl StreamBits {
+    fn append(&mut self, chunk: &CongestChunk) {
+        match self {
+            StreamBits::Empty if chunk.off == 0 => {
+                *self = StreamBits::Shared {
+                    data: Arc::clone(&chunk.data),
+                    end: chunk.len,
+                };
+            }
+            StreamBits::Shared { data, end }
+                if Arc::ptr_eq(data, &chunk.data) && chunk.off == *end =>
+            {
+                *end += chunk.len;
+            }
+            StreamBits::Copied(w) => w.write_raw(&chunk.data, chunk.off, chunk.len),
+            _ => {
+                let mut w = BitWriter::new();
+                if let StreamBits::Shared { data, end } = self {
+                    w.write_raw(data, 0, *end);
+                }
+                w.write_raw(&chunk.data, chunk.off, chunk.len);
+                *self = StreamBits::Copied(w);
+            }
+        }
+    }
+
+    fn decode<M: WireCodec>(&self) -> Option<M> {
+        let mut r = match self {
+            StreamBits::Empty => BitReader::new(&[], 0),
+            StreamBits::Shared { data, end } => BitReader::new(data, *end),
+            StreamBits::Copied(w) => BitReader::new(w.as_bytes(), w.bits()),
+        };
+        M::decode(&mut r)
+    }
+}
+
 /// One partially reassembled stream.
 #[derive(Debug)]
 struct RecvStream {
+    from: u32,
+    stream: u64,
     next_index: u64,
     finished: bool,
     /// A gap or post-final chunk was seen (chunk faults): the whole
     /// message is lost.
     dead: bool,
-    buf: BitWriter,
+    bits: StreamBits,
 }
 
-/// A receiver's partial streams, keyed by (sender, stream id). Chunks
+/// A receiver's partial streams, sorted by (sender, stream id). Chunks
 /// accumulate across wire rounds; [`Reassembler::take_round`] decodes
 /// every finished stream in (sender, stream) order — reproducing the
 /// engine's sender-sorted, broadcast-first inbox invariant — and drops
 /// incomplete or gapped ones (a dropped chunk loses the message).
+///
+/// Storage is a `Vec` kept sorted by (sender, stream): inboxes arrive
+/// sender-sorted, so new streams are mostly appends, and draining needs
+/// no hashing and no sort. A stream whose chunks are consecutive slices
+/// of one sender buffer (every fault-free stream) is held as a view of
+/// that buffer and decoded in place, with no per-chunk copy.
 #[derive(Debug, Default)]
 pub struct Reassembler {
-    streams: HashMap<(u32, u64), RecvStream>,
+    streams: Vec<RecvStream>,
 }
 
 impl Reassembler {
@@ -425,15 +518,28 @@ impl Reassembler {
     /// the expected one is a duplicate (ignored); anything else
     /// off-schedule kills the stream.
     pub fn stash(&mut self, from: NodeId, chunk: &CongestChunk) {
-        let s = self
-            .streams
-            .entry((from.0, chunk.stream))
-            .or_insert_with(|| RecvStream {
-                next_index: 0,
-                finished: false,
-                dead: false,
-                buf: BitWriter::new(),
-            });
+        let key = (from.0, chunk.stream);
+        let at = match self.streams.last() {
+            Some(s) if (s.from, s.stream) < key => Err(self.streams.len()),
+            _ => self
+                .streams
+                .binary_search_by(|s| (s.from, s.stream).cmp(&key)),
+        };
+        let i = at.unwrap_or_else(|i| {
+            self.streams.insert(
+                i,
+                RecvStream {
+                    from: from.0,
+                    stream: chunk.stream,
+                    next_index: 0,
+                    finished: false,
+                    dead: false,
+                    bits: StreamBits::Empty,
+                },
+            );
+            i
+        });
+        let s = &mut self.streams[i];
         if s.dead || chunk.index < s.next_index {
             return; // dead stream, or a re-delivered duplicate
         }
@@ -441,7 +547,7 @@ impl Reassembler {
             s.dead = true; // chunk after the final one, or a gap
             return;
         }
-        s.buf.write_raw(&chunk.data, chunk.off, chunk.len);
+        s.bits.append(chunk);
         s.next_index += 1;
         s.finished = chunk.last;
     }
@@ -463,19 +569,13 @@ impl Reassembler {
     /// decoded value of a bit-flipped stream may also simply differ,
     /// mirroring message-level corruption).
     pub fn take_round<M: WireCodec>(&mut self) -> Vec<(NodeId, M)> {
-        let mut done: Vec<((u32, u64), RecvStream)> = self.streams.drain().collect();
-        done.sort_unstable_by_key(|&((from, stream), _)| (from, stream));
-        let mut out = Vec::with_capacity(done.len());
-        for ((from, _), s) in done {
-            if s.dead || !s.finished {
-                continue;
-            }
-            let (bytes, bits) = s.buf.finish();
-            let mut r = BitReader::new(&bytes, bits);
-            if let Some(m) = M::decode(&mut r) {
-                out.push((NodeId(from), m));
-            }
-        }
+        let out = self
+            .streams
+            .iter()
+            .filter(|s| s.finished && !s.dead)
+            .filter_map(|s| Some((NodeId(s.from), s.bits.decode()?)))
+            .collect();
+        self.streams.clear();
         out
     }
 }
@@ -614,10 +714,15 @@ impl<D: BandwidthConfig> CongestEngine<D> {
     /// inner driver's accounting policy is switched to
     /// [`BandwidthPolicy::Congest`] at the same budget, so the ledger
     /// *proves* compliance: chunked traffic accounts zero violations.
+    ///
+    /// Chunks are sized to leave room for the inner driver's per-edge
+    /// frame ([`BandwidthConfig::frame_bits`]), so the host edge, not
+    /// just the chunk, stays within `bits`.
     pub fn enforced(mut inner: D, bits: u64) -> Self {
         inner.set_bandwidth_policy(BandwidthPolicy::Congest { bits });
+        let frag = Fragmenter::new(bits).reserving(inner.frame_bits());
         let mut e = CongestEngine::transparent(inner);
-        e.frag = Some(Fragmenter::new(bits));
+        e.frag = Some(frag);
         e
     }
 }
@@ -972,6 +1077,108 @@ mod tests {
             asm.stash(NodeId(0), c);
         }
         assert_eq!(asm.take_round::<Vec<u32>>(), vec![(NodeId(0), msg)]);
+    }
+
+    /// `chunk` after a trip through its own codec: same frame and bits,
+    /// but a fresh buffer of its own (what a fault's corruption
+    /// round trip hands the receiver).
+    fn via_codec(chunk: &CongestChunk) -> CongestChunk {
+        let (bytes, bits) = encode_to_bytes(chunk);
+        crate::wire::decode_from_bytes(&bytes, bits).expect("roundtrip")
+    }
+
+    #[test]
+    fn shared_copied_and_mixed_streams_decode_alike() {
+        let frag = Fragmenter::new(40);
+        let msg: Vec<u32> = (0..120).map(|i| i * 37).collect();
+        let chunks = frag.fragment(2, &msg);
+        assert!(chunks.len() > 4);
+        // Feeds: all shared, all copied, alternating, copied first.
+        for f in 0..4 {
+            let copied = |i: usize| match f {
+                0 => false,
+                1 => true,
+                2 => i % 2 == 1,
+                _ => i == 0,
+            };
+            let mut asm = Reassembler::default();
+            for (i, c) in chunks.iter().enumerate() {
+                let c = if copied(i) { via_codec(c) } else { c.clone() };
+                asm.stash(NodeId(4), &c);
+            }
+            // Only the all-shared feed stays a zero-copy view.
+            let shared = matches!(asm.streams[0].bits, StreamBits::Shared { .. });
+            assert_eq!(shared, f == 0, "feed {f}");
+            let out: Vec<(NodeId, Vec<u32>)> = asm.take_round();
+            assert_eq!(out, vec![(NodeId(4), msg.clone())], "feed {f}");
+        }
+    }
+
+    #[test]
+    fn faults_keep_their_outcomes_on_both_paths() {
+        let frag = Fragmenter::new(40);
+        let msg: Vec<u32> = (0..100).collect();
+        let chunks = frag.fragment(1, &msg);
+        // A chunk past the final one: same stream, next index.
+        let longer: Vec<u32> = (0..200).collect();
+        let post_final = frag.fragment(1, &longer)[chunks.len()].clone();
+        let n = chunks.len();
+        for copied in [false, true] {
+            let prep = |c: &CongestChunk| if copied { via_codec(c) } else { c.clone() };
+            let run = |order: &[&CongestChunk]| {
+                let mut asm = Reassembler::default();
+                for c in order {
+                    asm.stash(NodeId(0), &prep(c));
+                }
+                asm.take_round::<Vec<u32>>()
+            };
+            let all: Vec<&CongestChunk> = chunks.iter().collect();
+            let gap: Vec<&CongestChunk> = all.iter().copied().filter(|c| c.index() != 1).collect();
+            let dup: Vec<&CongestChunk> = all.iter().flat_map(|&c| [c, c]).collect();
+            let late: Vec<&CongestChunk> = all.iter().copied().chain([&post_final]).collect();
+            let reordered: Vec<&CongestChunk> = [all[1], all[0]]
+                .into_iter()
+                .chain(all[2..].iter().copied())
+                .collect();
+            let truncated: Vec<&CongestChunk> = all[..n - 1].to_vec();
+            assert_eq!(run(&all), vec![(NodeId(0), msg.clone())]);
+            assert!(run(&gap).is_empty(), "a gap kills the stream");
+            assert_eq!(
+                run(&dup),
+                vec![(NodeId(0), msg.clone())],
+                "duplicates are harmless"
+            );
+            assert!(run(&late).is_empty(), "a post-final chunk kills the stream");
+            assert!(run(&reordered).is_empty(), "a stream must start at index 0");
+            assert!(
+                run(&truncated).is_empty(),
+                "an unfinished stream is dropped"
+            );
+        }
+    }
+
+    #[test]
+    fn streams_drain_in_sender_then_stream_order() {
+        let frag = Fragmenter::new(MIN_CONGEST_BITS);
+        let mut asm = Reassembler::default();
+        // Out of key order, as later wire rounds open new streams.
+        for (from, stream, v) in [(5u32, 3u64, 53u64), (2, 0, 20), (5, 1, 51), (2, 4, 24)] {
+            for c in frag.fragment(stream, &v) {
+                asm.stash(NodeId(from), &c);
+            }
+        }
+        assert_eq!(asm.pending(), 4);
+        let out: Vec<(NodeId, u64)> = asm.take_round();
+        assert_eq!(
+            out,
+            vec![
+                (NodeId(2), 20),
+                (NodeId(2), 24),
+                (NodeId(5), 51),
+                (NodeId(5), 53)
+            ]
+        );
+        assert_eq!(asm.pending(), 0);
     }
 
     #[test]

@@ -364,6 +364,14 @@ pub trait BandwidthConfig {
     /// overlay: its virtual-level policy; accounting only — delivery is
     /// never truncated).
     fn set_bandwidth_policy(&mut self, policy: BandwidthPolicy);
+
+    /// Bits the driver adds around each message on a host edge when it
+    /// carries one CONGEST chunk per edge per round (an overlay's relay
+    /// envelope). The congest fragmenter sizes chunks to the budget
+    /// minus this, so the framed chunk still fits the host edge.
+    fn frame_bits(&self) -> u64 {
+        0
+    }
 }
 
 impl<S: Send> BandwidthConfig for Engine<'_, S> {

@@ -396,6 +396,10 @@ impl<D: crate::engine::BandwidthConfig> crate::engine::BandwidthConfig for Fault
     fn set_bandwidth_policy(&mut self, policy: crate::engine::BandwidthPolicy) {
         self.inner.set_bandwidth_policy(policy);
     }
+
+    fn frame_bits(&self) -> u64 {
+        self.inner.frame_bits()
+    }
 }
 
 impl<S: Send, D: RoundDriver<S>> RoundDriver<S> for FaultyDriver<D> {

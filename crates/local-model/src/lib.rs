@@ -99,6 +99,9 @@ pub mod shard;
 pub mod trace;
 pub mod wire;
 
+#[cfg(test)]
+mod decode_fuzz;
+
 pub use ball::{
     collect_ball_centered, collect_ball_views, run_ball_phase, run_ball_phase_within,
     run_reach_phase, run_reach_phase_within, BallMsg, BallView, CenterMsg, ReachMsg,

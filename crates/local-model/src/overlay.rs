@@ -474,7 +474,7 @@ impl<M> BatchPayloads<M> {
 /// items, but per-edge copies are two refcount bumps and the charged
 /// size is precomputed (`encoded_bits` sits on the host routing path,
 /// called once per transmission).
-struct FloodBatch<M> {
+pub(crate) struct FloodBatch<M> {
     /// Forwarded origin ranks (sorted; the sender's newest segment).
     origins: Arc<Vec<u32>>,
     /// Hops every item may still travel after this transmission —
@@ -1248,6 +1248,19 @@ impl<S, T: VirtualTopology> crate::engine::BandwidthConfig for OverlayEngine<'_,
     /// unaffected, as with [`OverlayEngine::with_bandwidth`]).
     fn set_bandwidth_policy(&mut self, policy: BandwidthPolicy) {
         self.policy = policy;
+    }
+
+    /// At dilation 1 every virtual message crosses its host edge inside
+    /// an [`OverlayEnvelope`]; with at most one chunk per edge per round
+    /// that is a broadcast (flag + γ(0) = 2 bits) or one directed
+    /// message (flag + γ(1) = 4 bits). Dilation-`k` relays batch many
+    /// origins per host edge and keep their own measured accounting.
+    fn frame_bits(&self) -> u64 {
+        if self.topo.dilation() == 1 {
+            1 + gamma_bits(1)
+        } else {
+            0
+        }
     }
 }
 

@@ -109,9 +109,9 @@ pub struct BoundaryStats {
 /// One encoded boundary block: the batched wire bits shard `s` sends
 /// shard `t` for one round and one message type.
 #[derive(Debug)]
-struct BoundaryBlock {
-    bytes: Vec<u8>,
-    bits: u64,
+pub(crate) struct BoundaryBlock {
+    pub(crate) bytes: Vec<u8>,
+    pub(crate) bits: u64,
 }
 
 /// Per-target staging for one source shard: which of its broadcasters
@@ -283,7 +283,7 @@ impl Shard {
 
 /// The arc bounds of shard `t` under `plan` (empty shards get an empty
 /// range).
-fn shard_arc_bounds(graph: &Graph, plan: &ShardPlan, t: usize) -> (usize, usize) {
+pub(crate) fn shard_arc_bounds(graph: &Graph, plan: &ShardPlan, t: usize) -> (usize, usize) {
     let r = plan.range(t);
     let at = |v: usize| {
         if v < graph.n() {
@@ -345,33 +345,52 @@ fn encode_block<M: WireCodec>(
     Ok(Some(BoundaryBlock { bytes, bits }))
 }
 
-/// Decodes the boundary block `s → t` on the receiving shard
-/// `(lo_t, hi_t, arc_lo_t)`, appending remote broadcasters (with their
-/// recomputed wire size — equal to the sender-side size, payload decode
-/// being exact) and directed messages, each recipient resolved from its
-/// destination arc by binary search over the shard's node range.
-fn decode_block<M: WireCodec>(
+/// The ranges a boundary block `s → t` is decoded against: the source
+/// shard's node range, and the receiving shard's node and arc ranges.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BlockEnds {
+    pub(crate) src: (usize, usize),
+    pub(crate) dst: (usize, usize),
+    pub(crate) dst_arcs: (usize, usize),
+}
+
+/// Decodes the boundary block `s → t` on the receiving shard, appending
+/// remote broadcasters (with their recomputed wire size — equal to the
+/// sender-side size, payload decode being exact) and directed messages,
+/// each recipient resolved from its destination arc by binary search
+/// over the shard's node range.
+///
+/// `None` if the bits are not a block `s` could have encoded for `t`:
+/// truncated, a payload that does not decode, a sender outside `s`, a
+/// destination arc outside `t`, or trailing bits. Blocks from the
+/// encode site always decode; the check makes arbitrary bits safe to
+/// hand in.
+pub(crate) fn decode_block<M: WireCodec>(
     graph: &Graph,
     block: &BoundaryBlock,
-    lo_s: usize,
-    shard_t: (usize, usize, usize),
+    ends: BlockEnds,
     remote_bcasts: &mut Vec<(u32, u64, M)>,
     in_dir: &mut Vec<(u32, M)>,
     in_to: &mut Vec<u32>,
-) {
-    let (lo_t, hi_t, arc_lo_t) = shard_t;
+) -> Option<()> {
+    let (lo_s, hi_s) = ends.src;
+    let (lo_t, hi_t) = ends.dst;
+    let (arc_lo, arc_hi) = ends.dst_arcs;
+    let offset = |base: usize, hi: usize, delta: u64| {
+        let v = usize::try_from(delta).ok()?.checked_add(base)?;
+        (v < hi).then_some(v)
+    };
     let mut r = BitReader::new(&block.bytes, block.bits);
-    let err = "boundary-block decode: counts and payloads written by the encode site";
-    let nb = r.read_gamma().expect(err);
+    let nb = r.read_gamma()?;
     for _ in 0..nb {
-        let sender = lo_s as u64 + r.read_gamma().expect(err);
-        let m = M::decode(&mut r).expect(err);
+        let sender = offset(lo_s, hi_s, r.read_gamma()?)?;
+        let m = M::decode(&mut r)?;
         remote_bcasts.push((sender as u32, m.encoded_bits(), m));
     }
-    let nd = r.read_gamma().expect(err);
+    let nd = r.read_gamma()?;
     for _ in 0..nd {
-        let arc = arc_lo_t + r.read_gamma().expect(err) as usize;
-        let m = M::decode(&mut r).expect(err);
+        let arc = offset(arc_lo, arc_hi, r.read_gamma()?)?;
+        let m = M::decode(&mut r)?;
         // Owner of the destination arc: the unique node in [lo_t, hi_t)
         // whose arc range contains it.
         let mut a = lo_t;
@@ -387,7 +406,7 @@ fn decode_block<M: WireCodec>(
         in_dir.push((arc as u32, m));
         in_to.push((a - lo_t) as u32);
     }
-    debug_assert!(r.is_exhausted(), "boundary block fully consumed");
+    r.is_exhausted().then_some(())
 }
 
 /// Per-shard result of the send + stage + encode phase.
@@ -1005,15 +1024,14 @@ where
             continue;
         }
         if let Some(block) = slot.take() {
-            decode_block(
-                graph,
-                &block,
-                plan.range(s).start,
-                (lo, hi, shard.arc_lo),
-                remote_bcasts,
-                in_dir,
-                in_to,
-            );
+            let src = plan.range(s);
+            let ends = BlockEnds {
+                src: (src.start, src.end),
+                dst: (lo, hi),
+                dst_arcs: (shard.arc_lo, shard.arc_hi),
+            };
+            decode_block(graph, &block, ends, remote_bcasts, in_dir, in_to)
+                .expect("boundary-block decode: counts and payloads written by the encode site");
         }
     }
     let intra_len = intra.len();
@@ -1379,15 +1397,12 @@ mod tests {
         let mut reb = Vec::new();
         let mut ind = Vec::new();
         let mut int = Vec::new();
-        decode_block(
-            &g,
-            &block,
-            0,
-            (3, 6, bounds.0),
-            &mut reb,
-            &mut ind,
-            &mut int,
-        );
+        let ends = BlockEnds {
+            src: (0, 3),
+            dst: (3, 6),
+            dst_arcs: bounds,
+        };
+        decode_block(&g, &block, ends, &mut reb, &mut ind, &mut int).expect("decodes");
         assert_eq!(reb, vec![(2u32, 64u64, 0xdead_beef_u64)]);
         assert_eq!(ind, vec![(dest_arc, 77u64)]);
         assert_eq!(int, vec![0u32]); // node 3 is local index 0 of shard 1

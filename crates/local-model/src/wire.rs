@@ -18,6 +18,29 @@
 //! message sizes shrink with the values actually sent and no codec needs
 //! side-channel width information to decode. Fixed-domain fields
 //! (random 64-bit draws, fixed-point keys) use fixed widths.
+//!
+//! # Kernels
+//!
+//! [`BitWriter`] and [`BitReader`] pack bits LSB-first into bytes and
+//! move whole bytes or words per step, never one bit per loop:
+//!
+//! * `write_bits` ORs the low bits into the partial last byte and
+//!   appends the rest as little-endian bytes in one copy;
+//! * `write_gamma` emits the zero run and the bit-reversed `v + 1` as a
+//!   single write when the code fits a word (values below `2^32 − 1`);
+//! * `read_bits` takes one unaligned 8-byte load (57 usable bits after
+//!   the in-byte shift) when eight bytes are in bounds and assembles the
+//!   remaining bytes otherwise, so no read ever leaves the buffer;
+//! * `read_gamma` finds the zero run as the trailing-zero count of a
+//!   64-bit window and, when the whole code fits that window, takes the
+//!   value bits from it too;
+//! * `write_raw`/`read_raw` copy bytes when source and destination are
+//!   both byte-aligned, and 56-bit words otherwise.
+//!
+//! The bytes, the bit counts and every `None` (truncation, a gamma zero
+//! run of 64) are exactly those of the bit-at-a-time loops they replace;
+//! `tests/wire_roundtrip.rs` keeps those loops as the reference and
+//! checks random call sequences against them.
 
 use delta_graphs::{Graph, NodeId};
 
@@ -91,12 +114,22 @@ impl BitWriter {
         Self::default()
     }
 
+    /// An empty writer with room for `bits` bits.
+    pub(crate) fn with_capacity(bits: u64) -> Self {
+        BitWriter {
+            bytes: Vec::with_capacity(bits.div_ceil(8) as usize),
+            bits: 0,
+        }
+    }
+
     /// Number of bits written so far.
     pub fn bits(&self) -> u64 {
         self.bits
     }
 
-    /// Appends the low `width` bits of `value`, LSB-first.
+    /// Appends the low `width` bits of `value`, LSB-first: the bits
+    /// that fit go into the partial last byte, the rest land as whole
+    /// little-endian bytes in one append.
     ///
     /// # Panics
     ///
@@ -107,15 +140,25 @@ impl BitWriter {
             width == 64 || value < (1u64 << width),
             "value {value} does not fit in {width} bits"
         );
-        for i in 0..width {
-            let bit = (value >> i) & 1;
-            let pos = (self.bits % 8) as u32;
-            if pos == 0 {
-                self.bytes.push(0);
-            }
-            *self.bytes.last_mut().expect("pushed above") |= (bit as u8) << pos;
-            self.bits += 1;
+        if width == 0 {
+            return;
         }
+        let pos = (self.bits % 8) as u32;
+        self.bits += u64::from(width);
+        let (mut value, mut width) = (value, width);
+        if pos != 0 {
+            // Bits above `width` are zero, so the shifted byte only
+            // fills the free high bits of the partial byte.
+            *self.bytes.last_mut().expect("pos != 0 implies a byte") |= (value << pos) as u8;
+            let free = 8 - pos;
+            if width <= free {
+                return;
+            }
+            value >>= free;
+            width -= free;
+        }
+        self.bytes
+            .extend_from_slice(&value.to_le_bytes()[..width.div_ceil(8) as usize]);
     }
 
     /// Appends one bit.
@@ -123,14 +166,19 @@ impl BitWriter {
         self.write_bits(b as u64, 1);
     }
 
-    /// Appends the Elias gamma code of `v` (see [`gamma_bits`]).
+    /// Appends the Elias gamma code of `v` (see [`gamma_bits`]): `k − 1`
+    /// zeros, then the `k` bits of `v + 1` MSB first. In the LSB-first
+    /// layout that is `v + 1` bit-reversed and shifted past the zero
+    /// run — one write whenever the code fits a word (`v < 2^32 − 1`).
     pub fn write_gamma(&mut self, v: u64) {
         let w = v + 1;
         let k = 64 - w.leading_zeros(); // bit length of v + 1
-        self.write_bits(0, k - 1); // k-1 zeros
-                                   // w's k bits, MSB first (the leading 1 terminates the zero run).
-        for i in (0..k).rev() {
-            self.write_bits((w >> i) & 1, 1);
+        let rev = w.reverse_bits() >> (64 - k); // bit 0 = w's leading 1
+        if k <= 32 {
+            self.write_bits(rev << (k - 1), 2 * k - 1);
+        } else {
+            self.write_bits(0, k - 1);
+            self.write_bits(rev, k);
         }
     }
 
@@ -138,7 +186,8 @@ impl BitWriter {
     /// bit offset `start_bit` (LSB-first addressing, matching the
     /// writer's own layout). The bulk path behind chunk fragmentation
     /// and reassembly ([`crate::congest`]): payload bits move between
-    /// buffers without a per-field re-encode.
+    /// buffers without a per-field re-encode — a byte copy when source
+    /// and destination are both byte-aligned, 56-bit words otherwise.
     ///
     /// # Panics
     ///
@@ -148,18 +197,30 @@ impl BitWriter {
             start_bit + len_bits <= bytes.len() as u64 * 8,
             "raw copy of {len_bits} bits at offset {start_bit} overruns the source"
         );
+        if self.bits.is_multiple_of(8) && start_bit.is_multiple_of(8) {
+            let from = (start_bit / 8) as usize;
+            self.bytes
+                .extend_from_slice(&bytes[from..from + len_bits.div_ceil(8) as usize]);
+            self.bits += len_bits;
+            if !len_bits.is_multiple_of(8) {
+                // Keep the padding invariant: bits past `bits` are zero.
+                *self.bytes.last_mut().expect("copied a partial byte") &=
+                    (1u8 << (len_bits % 8)) - 1;
+            }
+            return;
+        }
+        self.bytes.reserve(len_bits.div_ceil(8) as usize + 1);
         let mut done = 0u64;
         while done < len_bits {
-            let take = (len_bits - done).min(64) as u32;
-            let mut word = 0u64;
-            for i in 0..take {
-                let at = start_bit + done + u64::from(i);
-                let bit = (bytes[(at / 8) as usize] >> (at % 8)) & 1;
-                word |= u64::from(bit) << i;
-            }
-            self.write_bits(word, take);
+            let take = (len_bits - done).min(56) as u32;
+            self.write_bits(load_bits(bytes, start_bit + done, take), take);
             done += u64::from(take);
         }
+    }
+
+    /// The bytes written so far (last byte zero-padded).
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        &self.bytes
     }
 
     /// The written bytes (last byte zero-padded) and the exact bit count.
@@ -178,12 +239,15 @@ pub struct BitReader<'a> {
 }
 
 impl<'a> BitReader<'a> {
-    /// A reader over `len_bits` valid bits of `bytes`.
+    /// A reader over `len_bits` valid bits of `bytes`. A `len_bits`
+    /// beyond the buffer is a caller bug (checked in debug builds); in
+    /// release builds it is clamped to the buffer, so reads past the
+    /// buffer return `None` rather than made-up bits.
     pub fn new(bytes: &'a [u8], len_bits: u64) -> Self {
         debug_assert!(len_bits <= bytes.len() as u64 * 8);
         BitReader {
             bytes,
-            len_bits,
+            len_bits: len_bits.min(bytes.len() as u64 * 8),
             cursor: 0,
         }
     }
@@ -200,17 +264,12 @@ impl<'a> BitReader<'a> {
 
     /// Reads `width` bits (LSB-first); `None` past the end.
     pub fn read_bits(&mut self, width: u32) -> Option<u64> {
-        if width as u64 > self.len_bits - self.cursor {
+        if u64::from(width) > self.len_bits - self.cursor {
             return None;
         }
-        let mut out = 0u64;
-        for i in 0..width {
-            let at = self.cursor + i as u64;
-            let bit = (self.bytes[(at / 8) as usize] >> (at % 8)) & 1;
-            out |= (bit as u64) << i;
-        }
-        self.cursor += width as u64;
-        Some(out)
+        let v = self.peek(width);
+        self.cursor += u64::from(width);
+        Some(v)
     }
 
     /// Reads one bit.
@@ -225,34 +284,85 @@ impl<'a> BitReader<'a> {
         if len_bits > self.len_bits - self.cursor {
             return None;
         }
-        let mut w = BitWriter::new();
-        let mut done = 0u64;
-        while done < len_bits {
-            let take = (len_bits - done).min(64) as u32;
-            w.write_bits(self.read_bits(take)?, take);
-            done += u64::from(take);
-        }
-        let (bytes, bits) = w.finish();
-        debug_assert_eq!(bits, len_bits);
-        Some(bytes)
+        let mut w = BitWriter::with_capacity(len_bits);
+        w.write_raw(self.bytes, self.cursor, len_bits);
+        self.cursor += len_bits;
+        Some(w.bytes)
     }
 
-    /// Reads one Elias gamma code.
+    /// Reads one Elias gamma code: the zero run is the trailing-zero
+    /// count of a word-sized window; the value bits come out of the
+    /// same window when the whole code fits in it. `None` on
+    /// truncation and on a run of 64 zeros (no `u64` has that code).
     pub fn read_gamma(&mut self) -> Option<u64> {
-        let mut zeros = 0u32;
-        while self.read_bits(1)? == 0 {
-            zeros += 1;
-            if zeros >= 64 {
-                return None; // corrupt: no terminating 1 within range
-            }
+        let avail = self.len_bits - self.cursor;
+        let span = avail.min(64) as u32;
+        let window = self.peek(span);
+        let zeros = window.trailing_zeros();
+        if zeros >= span {
+            return None; // no terminating 1 before the end or within 64 bits
         }
-        // The 1 just consumed is w's MSB; read the remaining `zeros` bits.
-        let mut w = 1u64;
-        for _ in 0..zeros {
-            w = (w << 1) | self.read_bits(1)?;
+        // The 1 at `zeros` is w's MSB; w's remaining `zeros` bits follow
+        // it MSB-first.
+        let code = 2 * zeros + 1;
+        if u64::from(code) > avail {
+            return None;
         }
-        Some(w - 1)
+        let tail = if code <= span {
+            self.cursor += u64::from(code);
+            (window >> (zeros + 1)) & low_mask(zeros)
+        } else {
+            self.cursor += u64::from(zeros + 1);
+            self.read_bits(zeros)?
+        };
+        let low = if zeros == 0 {
+            0
+        } else {
+            tail.reverse_bits() >> (64 - zeros)
+        };
+        Some(((1u64 << zeros) | low) - 1)
     }
+
+    /// The next `width <= 64` in-range bits, without consuming them.
+    fn peek(&self, width: u32) -> u64 {
+        let at = self.cursor;
+        if width <= 57 {
+            load_bits(self.bytes, at, width)
+        } else {
+            load_bits(self.bytes, at, 32) | load_bits(self.bytes, at + 32, width - 32) << 32
+        }
+    }
+}
+
+/// The low `width` bits set (`width <= 64`).
+#[inline]
+fn low_mask(width: u32) -> u64 {
+    if width >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << width) - 1
+    }
+}
+
+/// Bits `at .. at + width` of `bytes` (LSB-first), `width <= 57`: one
+/// unaligned 8-byte little-endian load when eight bytes from `at / 8`
+/// are in bounds, the remaining bytes otherwise. Bytes past the end of
+/// the buffer read as zero, so this never reads out of bounds; callers
+/// bound `at + width` by the valid bit count.
+#[inline]
+fn load_bits(bytes: &[u8], at: u64, width: u32) -> u64 {
+    debug_assert!(width <= 57, "a shifted 8-byte window holds 57 bits");
+    let i = (at / 8) as usize;
+    let word = match bytes.get(i..i + 8) {
+        Some(w) => u64::from_le_bytes(w.try_into().expect("eight bytes")),
+        None => {
+            let mut buf = [0u8; 8];
+            let tail = bytes.get(i..).unwrap_or(&[]);
+            buf[..tail.len()].copy_from_slice(tail);
+            u64::from_le_bytes(buf)
+        }
+    };
+    (word >> (at % 8)) & low_mask(width)
 }
 
 /// A bit-exact wire format for a protocol message.

@@ -13,9 +13,10 @@
 //! serialize on [`AUDIT_LOCK`]; no other test lives in this binary.
 
 use delta_graphs::generators;
+use delta_graphs::NodeId;
 use local_model::{
-    run_ball_phase, Engine, ExecMode, Outbox, OverlayEngine, PowerOverlay, RoundDriver,
-    RoundLedger, Tracer,
+    run_ball_phase, Engine, ExecMode, Fragmenter, Outbox, OverlayEngine, PowerOverlay, Reassembler,
+    RoundDriver, RoundLedger, Tracer,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -321,4 +322,36 @@ fn ball_phase_allocates_less_than_once_per_ball_member() {
         per_node < mean_ball,
         "ball phase allocated {per_node} times per node, mean |B_3| is {mean_ball}"
     );
+}
+
+/// Reassembling a fault-free stream copies nothing: every chunk is the
+/// next slice of the sender's shared encode buffer, so the receiver
+/// keeps one view of that buffer and stashing allocates nothing per
+/// chunk (a copying reassembler grows a buffer as chunks land). The
+/// reassembler's stream table keeps its capacity across rounds, so a
+/// warm round's stashes allocate nothing at all.
+#[test]
+fn stashing_a_shared_buffer_stream_allocates_nothing_per_chunk() {
+    let _guard = AUDIT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let frag = Fragmenter::new(64);
+    let msg: Vec<u64> = (0..200).map(|i| i * 0x9e37_79b9).collect();
+    let streams: Vec<_> = (0..4u64).map(|s| frag.fragment(s, &msg)).collect();
+    assert!(streams[0].len() >= 100, "the stream spans many chunks");
+    let mut asm = Reassembler::default();
+    let stash_round = |asm: &mut Reassembler| {
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        for chunks in &streams {
+            for c in chunks {
+                asm.stash(NodeId(1), c);
+            }
+        }
+        ALLOCATIONS.load(Ordering::SeqCst) - before
+    };
+    stash_round(&mut asm); // sizes the stream table
+    let out: Vec<(NodeId, Vec<u64>)> = asm.take_round();
+    assert_eq!(out.len(), 4);
+    let allocs = stash_round(&mut asm);
+    assert_eq!(allocs, 0, "a warm round of shared-buffer chunks allocated");
+    let out: Vec<(NodeId, Vec<u64>)> = asm.take_round();
+    assert!(out.iter().all(|(from, m)| *from == NodeId(1) && *m == msg));
 }

@@ -15,10 +15,11 @@
 
 use delta_graphs::{generators, Graph, NodeId};
 use local_model::wire::gamma_bits;
+use local_model::wire::{decode_from_bytes, encode_to_bytes};
 use local_model::{
     force_exec_mode, BitReader, BitWriter, CongestChunk, CongestEngine, Engine, ExecMode,
-    FaultPlan, FaultyDriver, Fragmenter, Outbox, OverlayEngine, PowerOverlay, Reassembler,
-    RoundDriver, RoundLedger, ShardedEngine, WireCodec, MIN_CONGEST_BITS,
+    FaultPlan, FaultyDriver, Fragmenter, InducedOverlay, Outbox, OverlayEngine, PowerOverlay,
+    Reassembler, RoundDriver, RoundLedger, ShardedEngine, WireCodec, MIN_CONGEST_BITS,
 };
 use proptest::prelude::*;
 
@@ -234,6 +235,133 @@ proptest! {
         }
         let delivered: Vec<(NodeId, u64)> = asm.take_round();
         prop_assert_eq!(delivered, vec![(NodeId(3), value)]);
+    }
+}
+
+/// The delivery a chunk sequence must produce: the message exactly when
+/// the sequence, read with duplicates (indices already consumed)
+/// skipped, is `0, 1, …, final` with nothing after the final chunk.
+fn delivers(indices: &[u64], last: u64) -> bool {
+    let (mut next, mut finished) = (0u64, false);
+    for &i in indices {
+        if i < next {
+            continue;
+        }
+        if finished || i > next {
+            return false;
+        }
+        next += 1;
+        finished = i == last;
+    }
+    finished
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Reassembly is path-independent: chunks handed over as slices of
+    /// the sender's buffer (the zero-copy view), after a codec round
+    /// trip (a copied buffer of their own), or any mix, decode to the
+    /// same message; and drops, duplicates, swaps and post-final chunks
+    /// deliver or lose it exactly as the index sequence dictates.
+    #[test]
+    fn reassembly_paths_agree_under_chunk_faults(
+        msg in proptest::collection::vec(0u64..1 << 40, 0..24),
+        budget in MIN_CONGEST_BITS..128,
+        via_codec in proptest::collection::vec(proptest::bool::ANY, 64..64),
+        fault in (0u32..5, 0usize..64),
+    ) {
+        let frag = Fragmenter::new(budget);
+        let chunks = frag.fragment(1, &msg);
+        let last = chunks.len() as u64 - 1;
+        // A chunk of the same stream past this one's final chunk.
+        let mut longer = msg.clone();
+        longer.extend(std::iter::repeat_n(u64::MAX >> 1, 8));
+        let post_final = frag.fragment(1, &longer)[chunks.len()].clone();
+        let mut order: Vec<&CongestChunk> = chunks.iter().collect();
+        let (kind, at) = fault;
+        let len = order.len();
+        let at = at % len;
+        match kind {
+            0 => {}
+            1 => { order.remove(at); }
+            2 => order.insert(at, order[at]),
+            3 if len > 1 => order.swap(at, (at + 1) % len),
+            _ => order.push(&post_final),
+        }
+        let indices: Vec<u64> = order.iter().map(|c| c.index()).collect();
+        let mut asm = Reassembler::default();
+        for (i, c) in order.iter().enumerate() {
+            if via_codec[i % via_codec.len()] {
+                let (bytes, bits) = encode_to_bytes(*c);
+                let back: CongestChunk = decode_from_bytes(&bytes, bits).expect("roundtrip");
+                asm.stash(NodeId(7), &back);
+            } else {
+                asm.stash(NodeId(7), c);
+            }
+        }
+        let out: Vec<(NodeId, Vec<u64>)> = asm.take_round();
+        if delivers(&indices, last) {
+            prop_assert_eq!(out, vec![(NodeId(7), msg)]);
+        } else {
+            prop_assert!(out.is_empty(), "delivered despite chunk order {:?}", indices);
+        }
+    }
+}
+
+/// On a dilation-1 overlay every chunk crosses its host edge inside an
+/// overlay envelope (2 bits around a broadcast, 4 around a directed
+/// message); the fragmenter leaves that room, so the host ledger stays
+/// within the budget even for messages many chunks long.
+#[test]
+fn induced_overlay_host_edges_stay_within_the_budget() {
+    let g = generators::cycle(12);
+    let mask: Vec<bool> = (0..12).map(|i| i % 4 != 3).collect();
+    let budget = 64u64;
+    let payload: Vec<u64> = (0..5).map(|i| (1 << 50) + i).collect();
+    assert!(
+        payload.encoded_bits() > 2 * budget,
+        "message spans several chunks"
+    );
+    let nbrs: Vec<Vec<NodeId>> = {
+        let plain = OverlayEngine::new(&g, InducedOverlay { members: &mask }, 3, |_| ());
+        (0..plain.members().len() as u32)
+            .map(|r| plain.virtual_neighbors(NodeId(r)))
+            .collect()
+    };
+    for directed in [false, true] {
+        let topo = InducedOverlay { members: &mask };
+        let mut eng = CongestEngine::enforced(
+            OverlayEngine::new(&g, topo, 3, |_| Vec::<(NodeId, Vec<u64>)>::new()),
+            budget,
+        );
+        let mut ledger = RoundLedger::new();
+        eng.round_step(
+            &mut ledger,
+            "induced-congest",
+            |ctx, _, out: &mut Outbox<Vec<u64>>| {
+                if directed {
+                    for &to in &nbrs[ctx.id.index()] {
+                        out.send_to(to, payload.clone());
+                    }
+                } else {
+                    out.broadcast(payload.clone());
+                }
+            },
+            |_, inbox, msgs| inbox.extend_from_slice(msgs),
+        );
+        assert!(eng.wire_rounds() > 2, "the message was fragmented");
+        assert!(
+            ledger.max_edge_bits() <= budget,
+            "host edge carried {} > {budget} bits (directed: {directed})",
+            ledger.max_edge_bits()
+        );
+        assert_eq!(ledger.congest_violations(), 0);
+        // Every member still hears every member neighbor's message.
+        for (r, inbox) in eng.node_states().iter().enumerate() {
+            assert!(!inbox.is_empty(), "rank {r} heard nothing");
+            assert!(inbox.iter().all(|(_, m)| *m == payload));
+        }
     }
 }
 
